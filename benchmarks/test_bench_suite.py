@@ -1,4 +1,4 @@
-"""Benchmark + persistent perf baseline of the sharded suite runner.
+"""Benchmark + persistent perf baseline of the multi-worker suite runner.
 
 Three measurements back ``BENCH_suite.json``:
 
@@ -17,8 +17,8 @@ Three measurements back ``BENCH_suite.json``:
   straggler first and overlap it with the small circuits, shrinking the
   tail.
 * **Real-flow smoke** — a 12-circuit synthetic matrix executed as real
-  flows, serial in-process vs sharded at 1 and 2 workers on fresh
-  stores, with sharded results pinned equal to serial.
+  flows: plain serial flows vs ``run_suite`` at 1 and 2 workers on fresh
+  stores, with ``run_suite`` results pinned equal to serial.
 
 Results persist to ``BENCH_suite.json`` at the repository root; the perf
 smoke test in ``tests/test_perf_smoke.py`` guards the committed numbers
@@ -32,17 +32,17 @@ import os
 import tempfile
 import time
 import uuid
+from dataclasses import replace
 
 from conftest import _PROFILE, BENCH_SUITE_FILE, write_artifact
 
 from repro.circuits.library import suite_entry
 from repro.experiments.artifact_cache import StageCache
-from repro.experiments.runner import SuiteRunConfig, suite_flow
+from repro.experiments.runner import SuiteRunConfig, run_suite, suite_flow
 from repro.experiments.shard import (
     STAGE_COST_WEIGHTS,
     TimedStage,
     run_plan,
-    run_suite_sharded,
     suite_timed_specs,
     timed_plan,
 )
@@ -194,7 +194,7 @@ def _result_signature(res) -> tuple:
 
 
 def test_suite_real_smoke(benchmark, results_dir):
-    """Real flows: serial in-process vs sharded on fresh stores."""
+    """Real flows: serial in-process vs ``run_suite`` on fresh stores."""
     cfg = SuiteRunConfig.synth(SMOKE_CIRCUITS, scale=SMOKE_SCALE)
     caps = {name: suite_entry(name).pattern_budget(scale=cfg.scale)
             for name in cfg.names}
@@ -206,25 +206,26 @@ def test_suite_real_smoke(benchmark, results_dir):
                       with_schedules=cfg.with_schedules, cache=None)
                   for name in cfg.names}
         serial_s = time.perf_counter() - t0
-        sharded: dict[str, float] = {}
+        walls: dict[str, float] = {}
         parity = True
         for w in (1, 2):
             with tempfile.TemporaryDirectory() as td:
-                report = run_suite_sharded(cfg, workers=w,
-                                           store=StageCache(td))
-            sharded[str(w)] = report.wall_s
+                t0 = time.perf_counter()
+                results = run_suite(replace(cfg, jobs=w),
+                                    store=StageCache(td))
+                walls[str(w)] = time.perf_counter() - t0
             parity = parity and all(
-                _result_signature(report.results[name])
+                _result_signature(results[name])
                 == _result_signature(serial[name])
                 for name in cfg.names)
         measured.update({"serial_inprocess_s": serial_s,
-                         "workers": sharded, "parity": parity})
+                         "workers": walls, "parity": parity})
         return measured
 
     benchmark.pedantic(run_smoke, rounds=1, iterations=1)
 
     assert measured["parity"], \
-        "sharded smoke results diverged from the serial in-process flows"
+        "run_suite smoke results diverged from the serial in-process flows"
 
     payload = {
         "payload": "real",

@@ -153,7 +153,7 @@ QUICK_SUITE_NAMES = ["s9234", "s13207", "s35932", "p89k"]
 
 
 # ----------------------------------------------------------------------
-# Parameterized synthetic matrix (the sharded-suite workload)
+# Parameterized synthetic matrix (the multi-worker suite workload)
 # ----------------------------------------------------------------------
 #: Size tiers of the synthetic matrix, drawn with the given weights:
 #: (tier, weight, gates range, ffs range, patterns range, depth range).
@@ -202,7 +202,7 @@ def synthetic_entry(index: int) -> SuiteEntry:
 def synthetic_suite(count: int, *, start: int = 0) -> list[SuiteEntry]:
     """``count`` deterministic synthetic circuits (``syn0000``, ...).
 
-    Scales the evaluation matrix to hundreds of circuits for the sharded
+    Scales the evaluation matrix to hundreds of circuits for the multi-worker
     suite runner; entries are self-describing by name (see
     :func:`synthetic_entry`).
     """

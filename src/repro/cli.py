@@ -11,9 +11,9 @@ Subcommands:
   spec).
 * ``fleet``   — fleet-scale Monte Carlo aging study over a device
   population (same scenario schema, ``--devices``/``--jobs``).
-* ``suite``   — sharded suite runner: decompose a suite into stage work
-  units over the shared stage store and drain them with ``--workers N``
-  cooperating processes (resumable; see ``docs/ALGORITHMS.md`` §15).
+* ``suite``   — run a suite profile; with ``--workers N`` the suite's
+  stage work units are drained by N cooperating processes over the
+  stage store (resumable; see ``docs/ALGORITHMS.md`` §15).
 * ``resched`` — replay an in-field monitor alert stream (JSON file or a
   ``ScenarioSpec``-driven synthetic generator) through the adaptive
   rescheduling engine and print per-alert re-solve latencies.
@@ -106,11 +106,11 @@ def _recompute_from(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _stage_cache(args: argparse.Namespace):
-    from repro.experiments.artifact_cache import StageCache, cache_enabled
+    from repro.experiments.artifact_cache import ENV_STORE, resolve_store
 
-    if getattr(args, "no_cache", False) or not cache_enabled():
+    if getattr(args, "no_cache", False):
         return None
-    return StageCache()
+    return resolve_store(ENV_STORE)
 
 
 def _print_stage_meta(meta: dict) -> None:
@@ -166,9 +166,6 @@ def cmd_tables(args: argparse.Namespace) -> int:
     from repro.circuits.library import paper_suite
     from repro.core.spec import SuiteJob
     from repro.experiments.reporting import format_table
-    from repro.experiments.table1 import table1_rows
-    from repro.experiments.table2 import table2_rows
-    from repro.experiments.table3 import table3_rows
 
     names = tuple(args.suite) if args.suite else tuple(
         e.name for e in paper_suite())
@@ -176,14 +173,14 @@ def cmd_tables(args: argparse.Namespace) -> int:
                    with_coverage_schedules=args.table3,
                    workers=max(1, args.jobs) if args.jobs is not None
                    else None)
-    # The facade run warms the in-process suite cache (honoring any
-    # forced recompute); the table drivers below reuse those results.
-    _run_job(job, recompute_from=_recompute_from(args))
-    cfg = job.run_config()
-    print(format_table(table1_rows(cfg), title="Table I"))
-    print(format_table(table2_rows(cfg), title="Table II"))
+    results = _run_job(job, recompute_from=_recompute_from(args)).value
+    print(format_table([results[n].table1_row() for n in names],
+                       title="Table I"))
+    print(format_table([results[n].table2_row() for n in names],
+                       title="Table II"))
     if args.table3:
-        print(format_table(table3_rows(cfg), title="Table III"))
+        print(format_table([results[n].table3_row() for n in names],
+                           title="Table III"))
     return 0
 
 
@@ -298,38 +295,32 @@ def cmd_suite(args: argparse.Namespace) -> int:
         args.profile, count=args.count,
         scale=args.scale,
         with_schedules=True if args.schedules else None,
-        workers=args.workers, sharded=True)
+        workers=args.workers)
     try:
-        report = _run_job(job, claim_ttl=args.claim_ttl,
-                          shard_progress=args.progress).value
+        outcome = _run_job(job, claim_ttl=args.claim_ttl,
+                           shard_progress=args.progress)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    stats = report.stats
+    results, payload = outcome.value, outcome.payload
+    units = payload["units"]
     print(f"suite: {len(job.names)} circuits  profile={args.profile}  "
-          f"workers={report.workers}  wall={report.wall_s:.3f}s")
-    print(f"units: computed={stats.computed}  cached={stats.hits}  "
-          f"reclaimed={stats.reclaimed}  "
-          f"worker_failures={stats.worker_failures}  "
-          f"idle_wait={stats.wait_s:.3f}s")
-    if stats.stage_seconds:
-        print("stages:", "  ".join(
-            f"{k}={v:.3f}s" for k, v in sorted(stats.stage_seconds.items())))
+          f"workers={payload['workers']}  wall={outcome.seconds:.3f}s")
+    print(f"units: computed={units['computed']}  cached={units['cached']}")
     if len(job.names) <= 16:
         rows = [
             {"circuit": name,
              "faults": res.classification.num_faults,
              "target": len(res.classification.target),
              "gain_%": round(res.classification.coverage_gain_percent, 2)}
-            for name, res in report.results.items()
+            for name, res in results.items()
         ]
         print(format_table(rows, title="Suite results"))
     else:
-        total = sum(len(r.classification.target)
-                    for r in report.results.values())
+        total = sum(len(r.classification.target) for r in results.values())
         print(f"aggregate: {total} target faults across "
-              f"{len(report.results)} circuits")
+              f"{len(results)} circuits")
     return 0
 
 
@@ -570,39 +561,46 @@ def _bench_fleet_current(name: str) -> float:
     return bench_fleet_seconds(_load_circuit(name))
 
 
+def _suite_wall_s(cfg) -> float:
+    """Wall clock of one cold ``run_suite`` on a throwaway stage store."""
+    import tempfile
+    import time
+
+    from repro.experiments.artifact_cache import StageCache
+    from repro.experiments.runner import run_suite
+
+    with tempfile.TemporaryDirectory() as td:
+        t0 = time.perf_counter()
+        run_suite(cfg, store=StageCache(td))
+        return time.perf_counter() - t0
+
+
 def _bench_suite_rows(baseline: dict) -> list[dict]:
-    """Re-measure the committed sharded-suite smoke matrix (real flows).
+    """Re-measure the committed suite smoke matrix (real flows).
 
     Each worker count replays the committed synthetic smoke suite on a
     fresh throwaway stage store, so the measurement is always a cold
-    sharded run — comparable to the committed numbers.
+    run — comparable to the committed numbers.
     """
-    import tempfile
-
-    from repro.experiments.artifact_cache import StageCache
     from repro.experiments.runner import SuiteRunConfig
-    from repro.experiments.shard import run_suite_sharded
 
     smoke = baseline.get("smoke")
     if not smoke:
         print("warning: BENCH_suite.json has no 'smoke' section; "
               "re-run benchmarks/test_bench_suite.py", file=sys.stderr)
         return []
-    cfg = SuiteRunConfig(names=tuple(smoke["names"]),
-                         scale=smoke.get("scale", 1.0),
-                         with_schedules=False)
     rows = []
     for w_str, committed in sorted(smoke["workers"].items(),
                                    key=lambda kv: int(kv[0])):
-        with tempfile.TemporaryDirectory() as td:
-            report = run_suite_sharded(cfg, workers=int(w_str),
-                                       store=StageCache(td))
+        wall = _suite_wall_s(SuiteRunConfig(
+            names=tuple(smoke["names"]), scale=smoke.get("scale", 1.0),
+            with_schedules=False, jobs=int(w_str)))
         rows.append({
             "stage": "suite", "circuit": f"smoke w={w_str}",
             "committed_s": f"{committed:.3f}",
-            "current_s": f"{report.wall_s:.3f}",
-            "delta_percent": round(
-                100.0 * (report.wall_s - committed) / committed, 1),
+            "current_s": f"{wall:.3f}",
+            "delta_percent": round(100.0 * (wall - committed) / committed,
+                                   1),
         })
     return rows
 
@@ -897,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.set_defaults(func=cmd_fleet)
 
     p_suite = sub.add_parser(
-        "suite", help="sharded suite runner over the shared stage store")
+        "suite", help="suite runner over the shared stage store")
     p_suite.add_argument("--workers", type=int, default=1,
                          help="cooperating worker processes claiming stage "
                               "work units (default 1 = in-process)")

@@ -69,7 +69,7 @@ class HdfTestFlow:
                 timer: StageTimer | None = None) -> StageContext:
         """The :class:`StageContext` a run with these arguments would use.
 
-        Public so external schedulers (the sharded suite runner) can
+        Public so external schedulers (the suite work-unit drain) can
         derive stage keys and execute individual stages against the same
         context the in-process pipeline would see.
         """
@@ -113,21 +113,29 @@ class HdfTestFlow:
                       with_schedules: bool = True,
                       with_coverage_schedules: bool = False,
                       cache: StageStore | None = None) -> FlowResult | None:
-        """Whole-flow cache probe: the result iff every stage artifact is
-        already in ``cache`` (the legacy whole-``FlowResult`` cache as a
-        thin wrapper over the per-stage store)."""
+        """The result iff every stage artifact is already in ``cache``.
+
+        A pure probe: nothing is computed or stored, so a miss on any
+        stage returns None.
+        """
+        if cache is None:
+            return None
         ctx = self.context(test_set=test_set,
                            with_schedules=with_schedules,
-                           with_coverage_schedules=with_coverage_schedules,
-                           progress=None, timer=None)
-        artifacts = self.pipeline.cached_artifacts(ctx, cache)
-        if artifacts is None:
-            return None
-        n = len(artifacts)
+                           with_coverage_schedules=with_coverage_schedules)
+        keys = self.pipeline.stage_keys(ctx)
+        artifacts = {}
+        for name in self.pipeline.stages():
+            stage = self.pipeline.get(name)
+            artifact = (cache.load(keys[name]) if stage.cacheable(ctx)
+                        else None)
+            if not isinstance(artifact, stage.artifact_type):
+                return None
+            artifacts[name] = artifact
         meta = {
             "stages": {name: {"seconds": 0.0, "cache": "hit"}
                        for name in artifacts},
-            "cache": {"hits": n, "misses": 0},
+            "cache": {"hits": len(artifacts), "misses": 0},
         }
         return self._assemble(artifacts, meta)
 

@@ -109,7 +109,7 @@ class Pipeline:
         """Serializable ``(stage, key, ((dep, dep_key), ...))`` descriptors.
 
         One per registered stage, in topological order — the work-unit
-        decomposition the sharded suite runner
+        decomposition the multi-worker suite runner
         (:mod:`repro.experiments.shard`) schedules over a shared stage
         store: a unit is ready exactly when every ``dep_key`` artifact is
         present, and complete when its own ``key`` is.
@@ -169,28 +169,6 @@ class Pipeline:
                 "cache": status,
             }
         return artifacts, meta
-
-    def cached_artifacts(self, ctx: StageContext,
-                         cache: StageStore | None) -> dict[str, Any] | None:
-        """Load every stage artifact from cache, or None on any miss.
-
-        This is the whole-``FlowResult`` cache as a thin wrapper over the
-        stage store: a flow is "done" exactly when all of its stage
-        artifacts are present.
-        """
-        if cache is None:
-            return None
-        keys = self.stage_keys(ctx)
-        artifacts: dict[str, Any] = {}
-        for name, stage in self._stages.items():
-            if not stage.cacheable(ctx):
-                return None
-            artifact = cache.load(keys[name])
-            if artifact is None or \
-                    not isinstance(artifact, stage.artifact_type):
-                return None
-            artifacts[name] = artifact
-        return artifacts
 
 
 #: Process-wide default pipeline mirroring Fig. 4.

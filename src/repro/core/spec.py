@@ -3,7 +3,7 @@
 Four request surfaces grew separately — :class:`FlowConfig` + CLI flags
 for single flows, ``ScenarioSpec`` JSON for fleet aging studies,
 alert-stream JSON for ``repro resched`` and ``--profile/--workers`` knobs
-for the sharded suite runner — each with its own parsing, validation and
+for ``repro suite`` — each with its own parsing, validation and
 cache-keying path.  This module collapses them into one typed layer:
 
 * :class:`FlowJob`, :class:`SuiteJob`, :class:`FleetJob` and
@@ -19,9 +19,9 @@ cache-keying path.  This module collapses them into one typed layer:
   :class:`FleetJob` / :class:`ReschedJob` as nested specs.
 
 Fingerprints cover only *semantic* fields: knobs that cannot change the
-result (worker counts, execution substrate) are declared per class in
-``NON_SEMANTIC`` and excluded, mirroring the runner cache's
-``_NON_SEMANTIC_FIELDS``.  Two submissions with equal fingerprints are
+result (worker counts) are declared per class in ``NON_SEMANTIC`` and
+excluded, mirroring the stage keys, which leave out ``simulation_jobs`` /
+``schedule_jobs``.  Two submissions with equal fingerprints are
 therefore interchangeable — the property the service orchestrator's
 dedupe relies on (:mod:`repro.service.orchestrator`).
 
@@ -377,17 +377,15 @@ class FlowJob(JobSpec):
 
 @dataclass(frozen=True)
 class SuiteJob(JobSpec):
-    """One suite replay (Tables I–III drivers, sharded runner).
+    """One suite replay (Tables I–III drivers, ``repro suite``).
 
-    ``workers`` and ``sharded`` choose the execution substrate — a fork
-    pool inside one process versus cooperating processes over the shared
-    stage store — and are non-semantic: results are bit-identical either
-    way, so neither enters the fingerprint.
+    ``workers`` sizes the process pool that drains the suite's stage work
+    units and is non-semantic: results are bit-identical for any worker
+    count, so it does not enter the fingerprint.
     """
 
     kind: ClassVar[str] = "suite"
-    NON_SEMANTIC: ClassVar[frozenset[str]] = frozenset(
-        {"workers", "sharded"})
+    NON_SEMANTIC: ClassVar[frozenset[str]] = frozenset({"workers"})
 
     names: tuple[str, ...] = ()
     scale: float = 1.0
@@ -398,8 +396,6 @@ class SuiteJob(JobSpec):
     atpg_seed: int = 7
     #: Worker processes (None = the runner's REPRO_JOBS default).
     workers: int | None = None
-    #: Drain stage work units through the shard substrate.
-    sharded: bool = False
 
     def __post_init__(self) -> None:
         if not self.names:

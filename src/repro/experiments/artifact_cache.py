@@ -1,7 +1,7 @@
 """Persistent on-disk store for per-stage pipeline artifacts.
 
 Repeated table/figure/benchmark drivers replay the same (circuit, scale,
-config) flows; the in-process cache of :mod:`repro.experiments.runner` only
+config) flows; the in-process memo of :mod:`repro.experiments.runner` only
 helps within one interpreter.  This module persists pipeline artifacts to
 disk at **stage** granularity: the :class:`~repro.core.pipeline.Pipeline`
 keys every stage by a Merkle-style content hash of
@@ -15,10 +15,7 @@ keys every stage by a Merkle-style content hash of
 
 so editing, say, a scheduling knob reuses the cached STA/faults/ATPG/
 detection artifacts and only re-optimizes schedules, and a killed run
-resumes from its last completed stage.  The legacy whole-``FlowResult``
-cache survives as a thin wrapper: a flow is fully cached exactly when all
-of its stage artifacts are present
-(:meth:`repro.core.flow.HdfTestFlow.cached_result`).
+resumes from its last completed stage.
 
 Environment knobs:
 
@@ -27,30 +24,27 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` overrides the cache directory (default:
   ``<repo root>/.repro_cache``).
 
-Writes are atomic (temp file + ``os.replace``) so concurrent workers of the
-parallel suite runner can share one directory safely; loads tolerate
-corrupt/truncated entries by treating them as misses.
+Writes are atomic (temp file + ``os.replace``) so concurrent suite workers
+can share one directory safely; loads tolerate corrupt/truncated entries by
+treating them as misses.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import tempfile
-from dataclasses import fields
+import warnings
 from pathlib import Path
 from typing import Any
-
-from repro.core.config import FlowConfig
 
 #: Global salt over every stage entry — bump on cross-cutting semantic
 #: changes (per-stage changes should bump the stage's own CACHE_VERSION).
 CACHE_VERSION = 2
 
-#: FlowConfig fields excluded from flow keys: they cannot change the result.
-_NON_SEMANTIC_FIELDS = frozenset({"simulation_jobs", "schedule_jobs"})
+#: Sentinel: "use the environment-default stage store" (REPRO_FLOW_CACHE
+#: / REPRO_CACHE_DIR), as opposed to ``None`` = "no store".
+ENV_STORE = object()
 
 
 def cache_enabled() -> bool:
@@ -67,44 +61,27 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
-def config_fingerprint(config: FlowConfig) -> dict[str, Any]:
-    """JSON-serializable view of the semantically relevant config fields."""
-    out: dict[str, Any] = {}
-    for f in fields(config):
-        if f.name in _NON_SEMANTIC_FIELDS:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[f.name] = value
-    return out
+def resolve_store(store: Any) -> "StageCache | None":
+    """``ENV_STORE`` → the environment store (or None when disabled)."""
+    if store is ENV_STORE:
+        return StageCache() if cache_enabled() else None
+    return store
 
 
-def flow_key(circuit_name: str, scale: float, config: FlowConfig,
-             *, with_schedules: bool, with_coverage_schedules: bool) -> str:
-    """Stable hex digest identifying one whole-flow execution.
+class StageCache:
+    """The per-stage content-addressed store the pipeline plugs into.
 
-    Stage artifacts are keyed by the pipeline's content hashes, not by
-    this; it remains the coarse identity used for in-process bookkeeping
-    and external tooling.
+    Pickle-per-entry with atomic writes.  Entries live under a
+    ``v<CACHE_VERSION>`` namespace of the cache directory, so bumping the
+    global salt orphans (rather than corrupts) every pre-existing entry.
+    Keys are the pipeline's Merkle-style stage hashes
+    (:meth:`repro.core.pipeline.Pipeline.stage_keys`).
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "circuit": circuit_name,
-        "scale": scale,
-        "config": config_fingerprint(config),
-        "with_schedules": with_schedules,
-        "with_coverage_schedules": with_coverage_schedules,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class ArtifactCache:
-    """Pickle-per-entry artifact store with atomic writes."""
 
     def __init__(self, root: Path | str | None = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        base = Path(root) if root is not None else default_cache_dir()
+        self.root = base / f"v{CACHE_VERSION}"
+        self._warned = False
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key[:2]}" / f"{key}.pkl"
@@ -112,9 +89,10 @@ class ArtifactCache:
     def contains(self, key: str) -> bool:
         """Cheap presence probe (one ``stat``, no deserialization).
 
-        The sharded suite runner uses this for ready-checks; entries are
-        written atomically, so a visible path is always a complete pickle
-        (which may still fail :meth:`load` if written by foreign code).
+        The suite runner's stage-unit scheduler uses this for
+        ready-checks; entries are written atomically, so a visible path
+        is always a complete pickle (which may still fail :meth:`load` if
+        written by foreign code).
         """
         return self._path(key).exists()
 
@@ -136,7 +114,12 @@ class ArtifactCache:
             return None
 
     def store(self, key: str, obj: Any) -> None:
-        """Atomically persist ``obj`` under ``key`` (best effort)."""
+        """Atomically persist ``obj`` under ``key``.
+
+        Never raises on ``OSError`` (read-only filesystems, quota):
+        caching is an optimization.  The first failed write of each
+        store instance is reported with :func:`warnings.warn`.
+        """
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -152,21 +135,8 @@ class ArtifactCache:
                 except OSError:
                     pass
                 raise
-        except OSError:
-            # Read-only filesystems / quota: caching is an optimization,
-            # never a hard failure.
-            pass
-
-
-class StageCache(ArtifactCache):
-    """The per-stage content-addressed store the pipeline plugs into.
-
-    Entries live under a ``v<CACHE_VERSION>`` namespace of the cache
-    directory, so bumping the global salt orphans (rather than corrupts)
-    every pre-existing entry.  Keys are the pipeline's Merkle-style stage
-    hashes (:meth:`repro.core.pipeline.Pipeline.stage_keys`).
-    """
-
-    def __init__(self, root: Path | str | None = None) -> None:
-        base = Path(root) if root is not None else default_cache_dir()
-        super().__init__(base / f"v{CACHE_VERSION}")
+        except OSError as exc:
+            if not self._warned:
+                self._warned = True
+                warnings.warn(f"stage cache write to {path} failed: {exc}",
+                              RuntimeWarning, stacklevel=2)

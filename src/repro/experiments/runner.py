@@ -1,35 +1,40 @@
-"""Shared suite runner with in-process, on-disk and multi-process reuse.
+"""The one suite executor: every table/figure driver, ``repro tables``,
+``repro suite`` and the job service replay suites through :func:`run_suite`.
 
-All table/figure drivers replay the same flow over the (scaled) evaluation
-suite; the runner executes each circuit once per parameterization and caches
-the :class:`FlowResult` at three levels:
+Results are reused at two levels:
 
-* **in-process** — keyed by the full :class:`SuiteRunConfig` (including the
-  effective job count, so runs under different ``REPRO_JOBS`` settings never
-  alias each other's timer splits);
+* **in-process** — the default (environment) store keeps a memo keyed by
+  the full :class:`SuiteRunConfig` (including the effective job count, so
+  runs under different ``REPRO_JOBS`` settings never alias each other's
+  timer splits);
 * **on disk** — at *stage* granularity via
-  :class:`repro.experiments.artifact_cache.StageCache`: every flow runs
-  against the shared stage store, so repeated invocations skip completed
-  stages across processes and sessions, a partially-completed suite run
-  resumes from the last finished stage of each circuit, and a fully cached
-  flow is assembled without executing anything
-  (:meth:`~repro.core.flow.HdfTestFlow.cached_result`);
-* **across workers** — with ``jobs > 1`` the circuits fan out over a fork
-  process pool; each worker runs its flow with in-process stage parallelism
-  disabled (no nested pools) and ships back ``(result, timer)``.  Atomic
-  stage-store writes make the shared cache directory safe under
-  concurrency.
+  :class:`repro.experiments.artifact_cache.StageCache`: repeated
+  invocations skip completed stages across processes and sessions, and a
+  partially-completed suite run resumes from the last finished stage of
+  each circuit.
 
-``run_suite(..., recompute_from=("schedule",))`` bypasses the cached
-artifacts of the named pipeline stages plus their downstream closure —
+Execution has two shapes over the same stage keys, bit-identical results
+either way:
+
+* ``jobs == 1`` (or a single circuit left to run) — each circuit's
+  :meth:`~repro.core.flow.HdfTestFlow.run` in-process, with the job budget
+  handed to the in-flow stage pools;
+* ``jobs > 1`` — the suite decomposes into ``(circuit, stage)`` work units
+  drained by ``jobs`` forked workers over the store
+  (:mod:`repro.experiments.shard`).  Without a store the drain runs over
+  a private temporary one that is removed afterwards.
+
+``run_suite(..., recompute_from=("schedule",))`` forces the named pipeline
+stages plus their downstream closure to recompute on both shapes —
 unknown stage names raise ``ValueError`` listing the registered stages.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
+import tempfile
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.circuits.library import (
     QUICK_SUITE_NAMES,
@@ -42,7 +47,11 @@ from repro.core.config import FlowConfig
 from repro.core.flow import HdfTestFlow
 from repro.core.pipeline import DEFAULT_PIPELINE
 from repro.core.results import FlowResult
-from repro.experiments.artifact_cache import StageCache, cache_enabled
+from repro.experiments.artifact_cache import (
+    ENV_STORE,
+    StageCache,
+    resolve_store,
+)
 from repro.utils.profiling import StageTimer
 
 
@@ -71,8 +80,9 @@ class SuiteRunConfig:
     monitor_fraction: float = 0.25
     atpg_seed: int = 7
     #: Effective worker count (captured from ``REPRO_JOBS`` by default).
-    #: With multiple circuits the suite fans out one flow per worker;
-    #: with a single circuit the jobs go to the in-flow stage pools.
+    #: With multiple circuits to run, that many workers drain the suite's
+    #: stage work units; with a single circuit the jobs go to the in-flow
+    #: stage pools.
     jobs: int = field(default_factory=_default_jobs)
 
     @classmethod
@@ -86,7 +96,7 @@ class SuiteRunConfig:
               **overrides: object) -> "SuiteRunConfig":
         """A ``count``-circuit synthetic matrix (``syn0000``, ...).
 
-        The sharded-suite workload: hundreds of small, deterministic
+        The multi-worker suite workload: hundreds of small, deterministic
         circuits (see :func:`repro.circuits.library.synthetic_suite`).
         Schedules are off by default to keep the per-circuit flow cheap.
         """
@@ -95,34 +105,12 @@ class SuiteRunConfig:
         return replace(base, **overrides)  # type: ignore[arg-type]
 
 
-def run_suite_job(job, *, progress: bool = False,
-                  timer: "StageTimer | None" = None,
-                  recompute_from: tuple[str, ...] = ()
-                  ) -> dict[str, FlowResult]:
-    """Execute a declarative :class:`repro.core.spec.SuiteJob` in-process.
-
-    The facade's suite path (:func:`repro.service.orchestrator.run_job`):
-    the job's semantic fields map onto one :class:`SuiteRunConfig` and
-    run through the same three-level cache as every direct caller.
-    """
-    return run_suite(job.run_config(), progress=progress, timer=timer,
-                     recompute_from=recompute_from)
-
-
-@dataclass
-class _CacheEntry:
-    results: dict[str, FlowResult] = field(default_factory=dict)
-
-
-_CACHE: dict[SuiteRunConfig, _CacheEntry] = {}
+#: In-process memo of the environment-store path: config -> {name: result}.
+_CACHE: dict[SuiteRunConfig, dict[str, FlowResult]] = {}
 
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def _stage_cache() -> StageCache | None:
-    return StageCache() if cache_enabled() else None
 
 
 def flow_config(cfg: SuiteRunConfig, pattern_cap: int | None,
@@ -145,12 +133,12 @@ def suite_flow(name: str, cfg: SuiteRunConfig, pattern_cap: int | None,
     return HdfTestFlow(circuit, flow_config(cfg, pattern_cap, stage_jobs))
 
 
-def _execute_flow(name: str, cfg: SuiteRunConfig, pattern_cap: int | None,
-                  stage_jobs: int, progress: bool,
-                  timer: StageTimer | None,
-                  recompute_from: tuple[str, ...] = (),
-                  cache: StageCache | None = None) -> FlowResult:
-    flow = suite_flow(name, cfg, pattern_cap, stage_jobs)
+def _execute_flow(name: str, cfg: SuiteRunConfig, *, stage_jobs: int,
+                  progress: bool, timer: StageTimer | None,
+                  recompute_from: tuple[str, ...],
+                  cache: StageCache | None) -> FlowResult:
+    cap = suite_entry(name).pattern_budget(scale=cfg.scale)
+    flow = suite_flow(name, cfg, cap, stage_jobs)
     note = (lambda m, _n=name: print(f"[{_n}] {m}")) if progress else None
     return flow.run(
         with_schedules=cfg.with_schedules,
@@ -159,89 +147,97 @@ def _execute_flow(name: str, cfg: SuiteRunConfig, pattern_cap: int | None,
         cache=cache, recompute_from=recompute_from)
 
 
-def _worker_run(args: tuple[str, SuiteRunConfig, int | None, bool,
-                            tuple[str, ...], StageCache | None]
-                ) -> tuple[str, FlowResult, StageTimer]:
-    """Pool entry point: run one circuit flow, stage pools disabled.
+def _drain_suite(cfg: SuiteRunConfig, store: StageCache | None, *,
+                 recompute_from: tuple[str, ...], progress: bool,
+                 timer: StageTimer | None, ttl: float | None
+                 ) -> dict[str, FlowResult]:
+    """Run ``cfg`` as stage work units drained by ``cfg.jobs`` workers.
 
-    The parent's stage cache (or None) rides along in the args so every
-    worker targets the same store root — claim bookkeeping and hit/miss
-    counters all see a single shared directory.
+    The forced stages' artifacts are deleted up front, so the drain
+    recomputes them.  Each result is then assembled by a flow run over the
+    store (every stage hits) whose per-stage meta is relabeled to what
+    this drain did: ``hit`` for artifacts present before it, ``computed``
+    for forced stages and ``miss`` for the rest — the statuses an
+    in-process :meth:`~repro.core.pipeline.Pipeline.run` reports.
     """
-    name, cfg, pattern_cap, progress, recompute_from, cache = args
-    timer = StageTimer()
-    result = _execute_flow(name, cfg, pattern_cap, stage_jobs=1,
-                           progress=progress, timer=timer,
-                           recompute_from=recompute_from, cache=cache)
-    return name, result, timer
+    from repro.experiments.shard import run_plan, suite_plan
 
+    if store is None:
+        with tempfile.TemporaryDirectory(prefix="repro-suite-") as tmp:
+            return _drain_suite(cfg, StageCache(tmp),
+                                recompute_from=recompute_from,
+                                progress=progress, timer=timer, ttl=ttl)
+    plan = suite_plan(cfg, store=store, progress=progress)
+    forced = (DEFAULT_PIPELINE.descendants(recompute_from)
+              if recompute_from else set())
+    for unit in plan.units:
+        if unit.stage in forced:
+            store.delete(unit.key)
+    present = {u.key for u in plan.units if store.contains(u.key)}
+    stats = run_plan(plan, workers=cfg.jobs, store=store, ttl=ttl)
+    if timer is not None:
+        timer.merge(stats.timer)
 
-def _pool_context() -> mp.context.BaseContext:
-    # fork shares the (already imported) circuit/library state with zero
-    # pickling of inputs; fall back to the platform default elsewhere.
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()
+    results: dict[str, FlowResult] = {}
+    for name in cfg.names:
+        result = _execute_flow(name, cfg, stage_jobs=1, progress=False,
+                               timer=None, recompute_from=(), cache=store)
+        meta = result.meta
+        if meta["cache"]["misses"]:
+            raise RuntimeError(
+                f"suite drain completed but {name!r} has missing stage "
+                f"artifacts — stage store at {store.root} is inconsistent")
+        for stage, key in meta["keys"].items():
+            if key not in present:
+                meta["stages"][stage]["cache"] = (
+                    "computed" if stage in forced else "miss")
+        hits = sum(info["cache"] == "hit"
+                   for info in meta["stages"].values())
+        meta["cache"] = {"hits": hits, "misses": len(meta["stages"]) - hits}
+        results[name] = result
+    return results
 
 
 def run_suite(config: SuiteRunConfig | None = None,
-              *, progress: bool = False,
+              *, store: Any = ENV_STORE,
+              recompute_from: tuple[str, ...] = (),
+              progress: bool = False,
               timer: StageTimer | None = None,
-              recompute_from: tuple[str, ...] = ()) -> dict[str, FlowResult]:
+              ttl: float | None = None) -> dict[str, FlowResult]:
     """Run (or fetch cached) flow results for every circuit of the config.
 
-    ``timer`` accumulates the per-stage wall-clock split across all
-    circuits actually executed (cache hits contribute nothing; parallel
-    workers' splits are merged in).  ``recompute_from`` forces the named
-    pipeline stages plus everything downstream to recompute even when
-    cached — unknown names raise ``ValueError`` listing the registered
-    stages.
+    ``store`` is the stage store the suite runs against: the default
+    ``ENV_STORE`` is the ``REPRO_FLOW_CACHE`` / ``REPRO_CACHE_DIR``
+    environment store plus an in-process memo of finished results; an
+    explicit :class:`StageCache` (or ``None`` = no disk cache) gets an
+    execution against exactly that store and no memo.  ``timer``
+    accumulates the per-stage wall-clock split across all circuits
+    actually executed (cache hits contribute nothing; workers' splits
+    are merged in).  ``recompute_from`` forces the named pipeline stages
+    plus everything downstream to recompute even when cached — unknown
+    names raise ``ValueError`` listing the registered stages.  ``ttl``
+    is the stale-claim age of the multi-worker drain
+    (:func:`repro.experiments.shard.default_claim_ttl`).
     """
     cfg = config or SuiteRunConfig()
     recompute_from = tuple(recompute_from)
     if recompute_from:
         DEFAULT_PIPELINE.descendants(recompute_from)  # validate names early
-    entry = _CACHE.setdefault(cfg, _CacheEntry())
-    suite = {name: suite_entry(name) for name in cfg.names}
-    # One stage store instance for the whole replay: the pre-scan below,
-    # the serial path and every pool worker all target the same root.
-    disk = _stage_cache()
-
-    caps = {name: suite[name].pattern_budget(scale=cfg.scale)
-            for name in cfg.names}
-    pending: list[str] = []
-    for name in cfg.names:
-        if name in entry.results and not recompute_from:
-            continue
-        if disk is not None and not recompute_from:
-            cached = suite_flow(name, cfg, caps[name], 1).cached_result(
-                with_schedules=cfg.with_schedules,
-                with_coverage_schedules=cfg.with_coverage_schedules,
-                cache=disk)
-            if cached is not None:
-                entry.results[name] = cached
-                continue
-        pending.append(name)
+    memo = _CACHE.setdefault(cfg, {}) if store is ENV_STORE else {}
+    store = resolve_store(store)
+    pending = [name for name in cfg.names
+               if recompute_from or name not in memo]
 
     if len(pending) > 1 and cfg.jobs > 1:
-        ctx = _pool_context()
-        args = [(name, cfg, caps[name], progress, recompute_from, disk)
-                for name in pending]
-        with ctx.Pool(processes=min(cfg.jobs, len(pending))) as pool:
-            # Unordered collection: a slow circuit must not head-of-line
-            # block result pickup and timer merging (results are keyed by
-            # name, so arrival order is irrelevant).
-            for name, result, wtimer in pool.imap_unordered(_worker_run,
-                                                            args):
-                entry.results[name] = result
-                if timer is not None:
-                    timer.merge(wtimer)
+        memo.update(_drain_suite(
+            replace(cfg, names=tuple(pending)), store,
+            recompute_from=recompute_from, progress=progress,
+            timer=timer, ttl=ttl))
     else:
         # Serial circuits: hand the job budget to the in-flow stage pools.
         for name in pending:
-            entry.results[name] = _execute_flow(
-                name, cfg, caps[name], stage_jobs=cfg.jobs,
-                progress=progress, timer=timer,
-                recompute_from=recompute_from, cache=disk)
+            memo[name] = _execute_flow(
+                name, cfg, stage_jobs=cfg.jobs, progress=progress,
+                timer=timer, recompute_from=recompute_from, cache=store)
 
-    return {name: entry.results[name] for name in cfg.names}
+    return {name: memo[name] for name in cfg.names}

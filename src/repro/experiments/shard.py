@@ -1,10 +1,10 @@
-"""Sharded suite execution: stage work units over the shared stage store.
+"""Multi-worker suite execution: stage work units over the shared store.
 
-The fork pool in :mod:`repro.experiments.runner` fans out at whole-circuit
-granularity, so a long pipeline stage on one big circuit serializes the
-suite's tail while other workers idle.  This module decomposes a suite run
-into **stage work units** — the serializable ``(circuit, stage,
-upstream-keys)`` descriptors of
+Whole-circuit fan-out lets a long pipeline stage on one big circuit
+serialize the suite's tail while other workers idle.  This module (the
+``jobs > 1`` shape of :func:`repro.experiments.runner.run_suite`)
+decomposes a suite run into **stage work units** — the serializable
+``(circuit, stage, upstream-keys)`` descriptors of
 :meth:`repro.core.pipeline.Pipeline.unit_descriptors` — and turns the
 Merkle-keyed :class:`~repro.experiments.artifact_cache.StageCache` into a
 coordination substrate for any number of independent worker processes:
@@ -31,11 +31,12 @@ coordination substrate for any number of independent worker processes:
   nothing that already has an artifact, so a partially-completed (or
   killed) suite run picks up exactly the missing stage units.
 
-``run_suite_sharded`` is the public entry point (surfaced as ``repro
-suite --workers N``); ``timed_plan``/``run_plan`` drive the same
-scheduler with simulated-duration units, which is how
-``BENCH_suite.json`` measures scheduler scaling independently of the
-recording host's core count.
+:func:`repro.experiments.runner.run_suite` drives ``suite_plan`` +
+``run_plan`` whenever it runs more than one circuit with ``jobs > 1``
+(surfaced as ``repro suite --workers N`` and ``repro tables --jobs N``);
+``timed_plan``/``run_plan`` drive the same scheduler with
+simulated-duration units, which is how ``BENCH_suite.json`` measures
+scheduler scaling independently of the recording host's core count.
 
 Environment knobs: ``REPRO_CLAIM_TTL`` (stale-claim age in seconds,
 default 30; heartbeats refresh at TTL/4, so it bounds how long a killed
@@ -57,9 +58,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.circuits.library import suite_entry, synthetic_suite
 from repro.core.pipeline import DEFAULT_PIPELINE
-from repro.core.results import FlowResult
 from repro.core.stages import StageContext
-from repro.experiments.artifact_cache import StageCache, cache_enabled
+from repro.experiments.artifact_cache import StageCache
 from repro.experiments.runner import SuiteRunConfig, suite_flow
 from repro.utils.profiling import StageTimer
 
@@ -180,7 +180,7 @@ def suite_plan(cfg: SuiteRunConfig, *,
             if not flow.pipeline.get(stage).cacheable(ctx):
                 raise ValueError(
                     f"stage {stage!r} is not cacheable for {name!r}; "
-                    f"sharded execution coordinates through the store")
+                    f"stage work units coordinate through the store")
             units.append(WorkUnit(circuit=name, stage=stage, key=key,
                                   deps=deps, cost=cost))
 
@@ -603,75 +603,3 @@ def run_plan(plan: ShardPlan, *, workers: int = 1,
             f"sharded run left {len(incomplete)} unit(s) incomplete "
             f"({detail}); re-invoke to resume from the stage store")
     return stats
-
-
-@dataclass
-class ShardReport:
-    """Outcome of one sharded suite run."""
-
-    results: dict[str, FlowResult]
-    stats: ShardStats
-    workers: int
-    wall_s: float
-
-
-def run_suite_sharded(config: SuiteRunConfig | None = None, *,
-                      workers: int = 1,
-                      store: StageCache | None = None,
-                      ttl: float | None = None,
-                      progress: bool = False,
-                      timer: StageTimer | None = None) -> ShardReport:
-    """Run a suite as stage work units over the shared stage store.
-
-    Functionally equivalent to :func:`repro.experiments.runner.run_suite`
-    (same stage keys, bit-identical ``FlowResult``s) but decomposed at
-    stage granularity: ``workers`` independent processes claim ready
-    units dynamically, and a re-invocation resumes from whatever stage
-    artifacts already exist.  Requires the stage store — it *is* the
-    coordination substrate — so ``REPRO_FLOW_CACHE=0`` raises unless an
-    explicit ``store`` is passed.
-    """
-    cfg = config or SuiteRunConfig()
-    if store is None:
-        if not cache_enabled():
-            raise RuntimeError(
-                "the sharded suite runner coordinates through the stage "
-                "store; unset REPRO_FLOW_CACHE=0 or pass store=")
-        store = StageCache()
-    plan = suite_plan(cfg, store=store, progress=progress)
-    t0 = time.perf_counter()
-    stats = run_plan(plan, workers=workers, store=store, ttl=ttl)
-    wall = time.perf_counter() - t0
-    if timer is not None:
-        timer.merge(stats.timer)
-
-    results: dict[str, FlowResult] = {}
-    for name in cfg.names:
-        cap = suite_entry(name).pattern_budget(scale=cfg.scale)
-        result = suite_flow(name, cfg, cap, 1).cached_result(
-            with_schedules=cfg.with_schedules,
-            with_coverage_schedules=cfg.with_coverage_schedules,
-            cache=store)
-        if result is None:
-            raise RuntimeError(
-                f"sharded run completed but {name!r} has missing stage "
-                f"artifacts — stage store at {store.root} is inconsistent")
-        results[name] = result
-    return ShardReport(results=results, stats=stats,
-                       workers=max(1, int(workers)), wall_s=wall)
-
-
-def run_suite_sharded_job(job, *, store: StageCache | None = None,
-                          ttl: float | None = None,
-                          progress: bool = False,
-                          timer: StageTimer | None = None) -> ShardReport:
-    """Execute a declarative :class:`repro.core.spec.SuiteJob`, sharded.
-
-    The facade's sharded-suite path
-    (:func:`repro.service.orchestrator.run_job`): the job's semantic
-    fields become the :class:`SuiteRunConfig`, its non-semantic
-    ``workers`` field sizes the cooperating process pool.
-    """
-    return run_suite_sharded(job.run_config(),
-                             workers=job.workers or 1, store=store,
-                             ttl=ttl, progress=progress, timer=timer)

@@ -189,11 +189,10 @@ def _pregrade_activation(circuit: Circuit, patterns: TestSet,
     pattern ``p`` *may* activate fault ``fi``; the cheap per-pattern
     polarity check on the actual waveform stays as the exact second stage.
 
-    Returns None (grading disabled) when the patterns still contain
-    don't-cares, which cannot be packed.
+    Returns None (grading disabled) for an empty pattern set.
     """
     n = len(patterns)
-    if n == 0 or any(p.has_dont_cares for p in patterns):
+    if n == 0:
         return None
     bp = BitParallelSimulator(circuit)
     launch_words, width = bp.pack_vectors([p.launch for p in patterns])
@@ -335,9 +334,11 @@ def compute_detection_data(
     change-driven cone-schedule propagation) or ``"reference"`` (the seed
     full-cone resweep, kept for equivalence testing and perf baselining).
     All engines return bit-identical data; ``wordwave`` falls back to
-    ``incremental`` for workloads outside its envelope (don't-care patterns,
-    gate kinds without truth-table kernels, fan-in above the kernel limit,
-    or a degenerate inertial threshold).  ``timer``, when given, accumulates
+    ``incremental`` for workloads outside its envelope (gate kinds without
+    truth-table kernels, fan-in above the kernel limit, or a degenerate
+    inertial threshold).  Patterns must be fully specified: a pattern
+    with don't-cares raises ``ValueError`` (fill it with
+    :meth:`TestSet.filled` first).  ``timer``, when given, accumulates
     the per-stage wall-clock split (``pregrade`` / ``base_sim`` /
     ``site_inject`` / ``faulty_sim`` / ``intervals``; sequential path only).
     """
@@ -347,6 +348,12 @@ def compute_detection_data(
         raise ValueError("jobs must be >= 1")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    unfilled = [i for i, p in enumerate(patterns) if p.has_dont_cares]
+    if unfilled:
+        raise ValueError(
+            f"{len(unfilled)} pattern(s) still contain don't-cares (first: "
+            f"#{unfilled[0]}); fill them with TestSet.filled() before "
+            f"detection")
     monitored = frozenset(monitored_gates)
     data = DetectionData(
         circuit=circuit,
@@ -367,8 +374,8 @@ def compute_detection_data(
             if progress is not None:
                 progress(total, total)
             return data
-        # Workload outside the array kernels' envelope (don't-cares, exotic
-        # gate kinds or fault sites, degenerate inertial): the incremental
+        # Workload outside the array kernels' envelope (exotic gate kinds
+        # or fault sites, degenerate inertial): the incremental
         # engine produces the identical DetectionData, just event-driven.
         engine = "incremental"
 

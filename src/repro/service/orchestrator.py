@@ -6,7 +6,7 @@ Two layers:
   :class:`repro.core.spec.JobSpec`, resolves the circuit(s), runs the
   right pipeline (flow / suite / fleet / resched) against the shared
   stage store and returns a :class:`JobOutcome` carrying both the rich
-  in-process value (``FlowResult``, ``ShardReport``, ...) and a
+  in-process value (``FlowResult``, ``FleetStudy``, ...) and a
   JSON-able ``payload``.  Every CLI verb goes through this function, so
   the CLI and the HTTP service are provably the same code path.
 * :class:`Orchestrator` — the **async job queue** behind the HTTP
@@ -16,10 +16,10 @@ Two layers:
   after completion re-executes through the stage store, where every
   stage hits — the interactive (< 50 ms class) replay path measured in
   ``BENCH_service.json``.  Worker tasks fan CPU work out via a thread
-  executor; suite jobs additionally fork over the shard
-  ``ClaimBoard`` substrate.  Progress events (queued / started /
-  per-stage timings from the ``StageTimer``-backed pipeline meta /
-  done) stream to any number of listeners per job.
+  executor; multi-worker suite jobs additionally fork stage-unit
+  workers over the shard ``ClaimBoard`` substrate.  Progress events
+  (queued / started / per-stage timings from the ``StageTimer``-backed
+  pipeline meta / done) stream to any number of listeners per job.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ from repro.core.spec import (
     SpecError,
     SuiteJob,
 )
-
-#: Sentinel: "use the environment-default stage store" (REPRO_FLOW_CACHE
-#: / REPRO_CACHE_DIR), as opposed to ``None`` = "no store".
-ENV_STORE = object()
+from repro.experiments.artifact_cache import ENV_STORE, resolve_store
 
 Progress = Callable[[dict], None]
 
@@ -73,14 +70,6 @@ def resolve_circuit(spec: str):
                     f"(not a file, embedded or suite name)")
 
 
-def _env_store(store):
-    if store is ENV_STORE:
-        from repro.experiments.artifact_cache import StageCache, cache_enabled
-
-        return StageCache() if cache_enabled() else None
-    return store
-
-
 def _meta_cache_status(meta: dict, store) -> str:
     """Stage meta → outcome cache label (all-hit replay vs fresh work)."""
     if store is None:
@@ -98,7 +87,7 @@ class JobOutcome:
     spec: JobSpec
     fingerprint: str
     #: Rich in-process value: FlowResult, dict[str, FlowResult],
-    #: ShardReport, FleetStudy or the resched replay dict.
+    #: FleetStudy or the resched replay dict.
     value: Any
     #: JSON-able result document (what the HTTP API serves).
     payload: dict
@@ -150,58 +139,35 @@ def _execute_flow(job: FlowJob, store, recompute_from, progress,
                                                            store)
 
 
-def _suite_results_meta(results: dict) -> dict:
-    """Aggregate per-circuit pipeline meta into one hit/miss tally."""
-    hits = misses = 0
-    for res in results.values():
-        counts = getattr(res, "meta", {}).get("cache", {})
-        hits += counts.get("hits", 0)
-        misses += counts.get("misses", 0)
-    return {"cache": {"hits": hits, "misses": misses}}
-
-
 def _execute_suite(job: SuiteJob, store, recompute_from, progress,
                    timer, options) -> tuple[Any, dict, dict, str]:
-    from repro.experiments.runner import run_suite_job
-    from repro.experiments.shard import run_suite_sharded_job
+    from repro.experiments.runner import run_suite
 
-    if job.sharded:
-        report = run_suite_sharded_job(
-            job, store=store if store is not None else None,
-            ttl=options.get("claim_ttl"),
-            progress=bool(options.get("shard_progress")), timer=timer)
-        stats = report.stats
-        meta = {"cache": {"hits": stats.hits, "misses": stats.computed}}
-        payload = {
-            "circuits": list(job.names),
-            "workers": report.workers,
-            "wall_s": round(report.wall_s, 4),
-            "units": {"computed": stats.computed, "cached": stats.hits,
-                      "reclaimed": stats.reclaimed,
-                      "worker_failures": stats.worker_failures},
-            "stage_seconds": {k: round(v, 4)
-                              for k, v in stats.stage_seconds.items()},
-        }
-        value: Any = report
-    else:
-        results = run_suite_job(
-            job, progress=bool(options.get("shard_progress")),
-            timer=timer, recompute_from=recompute_from)
-        meta = _suite_results_meta(results)
-        payload = {
-            "circuits": list(job.names),
-            "results": {
-                name: {"faults": res.classification.num_faults,
-                       "target": len(res.classification.target),
-                       "gain_percent": round(
-                           res.classification.coverage_gain_percent, 2)}
-                for name, res in results.items()},
-        }
-        value = results
+    cfg = job.run_config()
+    results = run_suite(
+        cfg, store=store, recompute_from=recompute_from,
+        progress=bool(options.get("shard_progress")), timer=timer,
+        ttl=options.get("claim_ttl"))
+    statuses = [info["cache"] for res in results.values()
+                for info in res.meta["stages"].values()]
+    cached = statuses.count("hit")
+    computed = len(statuses) - cached
+    meta = {"cache": {"hits": cached, "misses": computed}}
+    payload = {
+        "circuits": list(job.names),
+        "workers": cfg.jobs,
+        "units": {"computed": computed, "cached": cached},
+        "results": {
+            name: {"faults": res.classification.num_faults,
+                   "target": len(res.classification.target),
+                   "gain_percent": round(
+                       res.classification.coverage_gain_percent, 2)}
+            for name, res in results.items()},
+    }
     if progress is not None:
         progress({"event": "suite", **{k: v for k, v in payload.items()
                                        if k != "results"}})
-    return value, payload, meta, _meta_cache_status(meta, store)
+    return results, payload, meta, _meta_cache_status(meta, store)
 
 
 def _execute_fleet(job: FleetJob, store, recompute_from, progress,
@@ -287,12 +253,12 @@ def run_job(spec: JobSpec, *,
     is an *execution option*, deliberately not part of the spec, so a
     deduped/cached submission can never silently skip a requested
     recompute.  Extra keyword ``options`` are per-kind execution knobs
-    (``claim_ttl``, ``shard_progress`` for sharded suites).
+    (``claim_ttl``, ``shard_progress`` for suites).
     """
     executor = _EXECUTORS.get(type(spec))
     if executor is None:
         raise SpecError(f"no executor for job type {type(spec).__name__}")
-    store = _env_store(store)
+    store = resolve_store(store)
     t0 = time.perf_counter()
     value, payload, meta, cache = executor(
         spec, store, tuple(recompute_from), progress, timer,
@@ -357,7 +323,7 @@ class Orchestrator:
     """
 
     def __init__(self, *, store=ENV_STORE, workers: int = 2):
-        self._store = _env_store(store)
+        self._store = resolve_store(store)
         self._workers = max(1, int(workers))
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)

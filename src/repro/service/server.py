@@ -3,7 +3,9 @@
 Endpoints (all JSON):
 
 * ``POST /jobs``              — submit a job document (``{"kind": ...}``);
-  returns ``202`` with the job id, fingerprint and dedup target.
+  returns ``202`` with the job id, fingerprint and dedup target.  The
+  body needs a ``Content-Length`` (``400`` when missing or invalid) of
+  at most :data:`MAX_BODY_BYTES` (``413`` otherwise, body unread).
 * ``GET  /jobs``              — list all submissions.
 * ``GET  /jobs/<id>``         — status (state, cache, seconds, error).
 * ``GET  /jobs/<id>/result``  — the result payload once terminal
@@ -33,6 +35,9 @@ from repro.core.spec import SpecError, job_from_dict
 from repro.service.orchestrator import ENV_STORE, Orchestrator
 
 DEFAULT_PORT = 8732
+
+#: Largest accepted ``POST /jobs`` body in bytes.
+MAX_BODY_BYTES = 1 << 20
 
 
 class HdfService:
@@ -112,6 +117,8 @@ def _make_handler(service: HdfService):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -169,7 +176,19 @@ def _make_handler(service: HdfService):
         def do_POST(self) -> None:  # noqa: N802 (http.server API)
             parts = [p for p in self.path.split("/") if p]
             if parts == ["jobs"]:
-                length = int(self.headers.get("Content-Length") or 0)
+                length = _content_length(self.headers.get("Content-Length"))
+                if length is None or length > MAX_BODY_BYTES:
+                    # The body stays unread: drop the connection after
+                    # answering so it is never parsed as a next request.
+                    self.close_connection = True
+                    if length is None:
+                        self._error(400, "POST /jobs needs a non-negative "
+                                         "integer Content-Length")
+                    else:
+                        self._error(413, f"request body of {length} bytes "
+                                         f"exceeds the {MAX_BODY_BYTES}-"
+                                         f"byte limit")
+                    return
                 raw = self.rfile.read(length)
                 try:
                     document = json.loads(raw or b"null")
@@ -224,6 +243,12 @@ def _make_handler(service: HdfService):
             write_chunk(b"")  # terminating zero-length chunk
 
     return ServiceHandler
+
+
+def _content_length(header: str | None) -> int | None:
+    """The declared body length, or None when missing/invalid/negative."""
+    value = (header or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 def _since(query: str) -> int:

@@ -51,8 +51,8 @@ kernels, batched over *all* patterns (fault-free sweep) and *all* activated
 The engine is bit-identical to ``engine="reference"`` (guarded by the
 randomized golden suite in ``tests/test_wordwave_golden.py``) whenever it
 is applicable; :func:`wordwave_fallback_reason` names the cases where the
-caller must fall back to the incremental engine (don't-care patterns,
-degenerate inertial thresholds, exotic gate arities/kinds).
+caller must fall back to the incremental engine (degenerate inertial
+thresholds, exotic gate arities/kinds).
 """
 
 from __future__ import annotations
@@ -106,8 +106,6 @@ def wordwave_fallback_reason(circuit: Circuit, patterns,
             return f"unsupported gate kind {g.kind!r}"
         if g.arity > MAX_ARITY:
             return f"gate arity {g.arity} exceeds LUT limit {MAX_ARITY}"
-    if any(p.has_dont_cares for p in patterns):
-        return "patterns contain don't-cares"
     return None
 
 

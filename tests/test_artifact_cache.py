@@ -1,54 +1,23 @@
-"""Tests for the persistent on-disk flow-artifact cache."""
+"""Tests for the persistent on-disk stage-artifact cache."""
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from pathlib import Path
 
-from repro.core.config import FlowConfig
+import pytest
+
 from repro.experiments.artifact_cache import (
     CACHE_VERSION,
-    ArtifactCache,
     StageCache,
     cache_enabled,
-    config_fingerprint,
     default_cache_dir,
-    flow_key,
 )
 
 
-def _key(**overrides):
-    kwargs = dict(circuit_name="s27", scale=1.0, config=FlowConfig(),
-                  with_schedules=True, with_coverage_schedules=False)
-    kwargs.update(overrides)
-    name = kwargs.pop("circuit_name")
-    scale = kwargs.pop("scale")
-    config = kwargs.pop("config")
-    return flow_key(name, scale, config, **kwargs)
-
-
-class TestFlowKey:
-    def test_deterministic(self):
-        assert _key() == _key()
-
-    def test_job_counts_do_not_change_key(self):
-        assert _key(config=FlowConfig(simulation_jobs=8,
-                                      schedule_jobs=4)) == _key()
-
-    def test_semantic_fields_change_key(self):
-        assert _key(config=FlowConfig(atpg_seed=9)) != _key()
-        assert _key(config=FlowConfig(
-            engines=(("atpg", "reference"),))) != _key()
-        assert _key(scale=0.5) != _key()
-        assert _key(circuit_name="c17") != _key()
-        assert _key(with_schedules=False) != _key()
-        assert _key(with_coverage_schedules=True) != _key()
-
-    def test_fingerprint_excludes_job_knobs(self):
-        fp = config_fingerprint(FlowConfig(simulation_jobs=8))
-        assert "simulation_jobs" not in fp
-        assert "schedule_jobs" not in fp
-        assert ["atpg", "matrix"] in fp["engines"]
-        assert ["simulation", "wordwave"] in fp["engines"]
+def _key(name: str = "s27") -> str:
+    return hashlib.sha256(name.encode()).hexdigest()
 
 
 class TestEnvironment:
@@ -71,34 +40,38 @@ class TestEnvironment:
 
 class TestArtifactCache:
     def test_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = StageCache(tmp_path)
         key = _key()
         assert cache.load(key) is None
         cache.store(key, {"rows": [1, 2, 3]})
         assert cache.load(key) == {"rows": [1, 2, 3]}
 
     def test_entries_are_sharded_by_prefix(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = StageCache(tmp_path)
         key = _key()
         cache.store(key, "payload")
-        assert (tmp_path / key[:2] / f"{key}.pkl").exists()
+        assert (cache.root / key[:2] / f"{key}.pkl").exists()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = StageCache(tmp_path)
         key = _key()
         cache.store(key, "payload")
-        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"\x80garbage")
+        (cache.root / key[:2] / f"{key}.pkl").write_bytes(b"\x80garbage")
         assert cache.load(key) is None
 
     def test_store_is_best_effort(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
-        cache = ArtifactCache(target / "sub")  # mkdir will fail
-        cache.store(_key(), "payload")  # must not raise
+        cache = StageCache(target / "sub")  # mkdir will fail
+        with pytest.warns(RuntimeWarning, match="stage cache write") as rec:
+            cache.store(_key(), "payload")  # must not raise
+            cache.store(_key("c17"), "payload")
+        assert len(rec) == 1  # one warning per store instance
+        assert str(cache.root) in str(rec[0].message)
         assert cache.load(_key()) is None
 
     def test_no_stray_tmp_files_after_store(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
+        cache = StageCache(tmp_path)
         cache.store(_key(), list(range(100)))
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
@@ -116,7 +89,9 @@ class TestStageCache:
 
     def test_version_bump_orphans_old_entries(self, tmp_path):
         key = _key()
-        ArtifactCache(tmp_path / "v0").store(key, "stale")
+        old = tmp_path / "v0" / key[:2] / f"{key}.pkl"
+        old.parent.mkdir(parents=True)
+        old.write_bytes(pickle.dumps("stale"))
         assert StageCache(tmp_path).load(key) is None
 
     def test_default_root_follows_env(self, monkeypatch, tmp_path):

@@ -162,11 +162,16 @@ class TestSuiteCommand:
                      "--scale", "0.25", "--workers", "2"]) == 0
         assert "computed=0" in capsys.readouterr().out
 
-    def test_suite_errors_without_store(self, monkeypatch, capsys):
+    def test_suite_runs_without_store(self, tmp_path, monkeypatch, capsys):
+        # Without a disk cache the multi-worker drain runs over a private
+        # temporary store and leaves nothing behind.
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        rc = main(["suite", "--profile", "synth", "--count", "1"])
-        assert rc == 1
-        assert "stage store" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        rc = main(["suite", "--profile", "synth", "--count", "2",
+                   "--scale", "0.25", "--workers", "2"])
+        assert rc == 0
+        assert "computed=12" in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())
 
     def test_bench_suite_stage(self, tmp_path, monkeypatch, capsys):
         import json
@@ -178,11 +183,7 @@ class TestSuiteCommand:
                               "workers": {"1": 0.1}, "parity": True}}
         (tmp_path / "BENCH_suite.json").write_text(json.dumps(baseline))
 
-        class _Report:
-            wall_s = 0.2
-        monkeypatch.setattr(
-            "repro.experiments.shard.run_suite_sharded",
-            lambda cfg, workers, store: _Report())
+        monkeypatch.setattr("repro.cli._suite_wall_s", lambda cfg: 0.2)
         rc = main(["bench", "--root", str(tmp_path), "--stage", "suite"])
         assert rc == 0
         out = capsys.readouterr().out

@@ -112,20 +112,6 @@ class TestPregradeSoundness:
             for pi in per_pattern:
                 assert masks[fi] & (1 << pi), (fi, pi)
 
-    def test_masks_disabled_with_dont_cares(self, s27):
-        # X bits cannot be packed into toggle words: grading must disable
-        # itself (the flow fills patterns before simulation, so this guard
-        # is defensive).
-        from repro.atpg.patterns import PatternPair, TestSet
-        from repro.simulation.logic import X
-
-        n = len(s27.sources())
-        ts = TestSet(s27, [PatternPair((X,) + (0,) * (n - 1), (1,) * n)])
-        assert ts[0].has_dont_cares
-        _reach, site_signal = _prepare_reach(s27, list(
-            small_delay_fault_universe(s27)))
-        assert _pregrade_activation(s27, ts, site_signal) is None
-
 
 class TestDetectionRangeMemo:
     def test_repeated_query_returns_cached_object(self, flow_result_small):

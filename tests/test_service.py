@@ -11,11 +11,15 @@ the stage store.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import os
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +30,7 @@ from repro.service.orchestrator import (
     resolve_circuit,
     run_job,
 )
-from repro.service.server import HdfService
+from repro.service.server import MAX_BODY_BYTES, HdfService
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +123,68 @@ class TestFacadeEquivalence:
         assert "log" in kinds and "stage" in kinds
         stages = {e["stage"] for e in events if e["event"] == "stage"}
         assert {"sta", "atpg", "simulation"} <= stages
+
+
+class TestSuiteJobStore:
+    """Suite jobs run against exactly the store the caller passes."""
+
+    JOB = SuiteJob(names=("s9234", "s13207"), scale=0.25,
+                   with_schedules=False)
+    UNITS = 2 * 6  # circuits x pipeline stages
+
+    @pytest.fixture()
+    def env_dir(self, tmp_path, monkeypatch):
+        env = tmp_path / "env"
+        monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env))
+        return env
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_explicit_store_receives_the_artifacts(self, env_dir, tmp_path,
+                                                   workers):
+        job = replace(self.JOB, workers=workers)
+        outcome = run_job(job, store=StageCache(tmp_path / "a"))
+        assert len(list((tmp_path / "a").rglob("*.pkl"))) == self.UNITS
+        assert not list(env_dir.rglob("*.pkl"))
+        assert outcome.cache == "miss"
+        assert outcome.payload["units"] == {"computed": self.UNITS,
+                                            "cached": 0}
+        again = run_job(job, store=StageCache(tmp_path / "a"))
+        assert again.cache == "hit"
+        assert again.payload["units"] == {"computed": 0,
+                                          "cached": self.UNITS}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_store_writes_nothing(self, env_dir, tmp_path, monkeypatch,
+                                     workers):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        outcome = run_job(replace(self.JOB, workers=workers), store=None)
+        assert not list(tmp_path.rglob("*.pkl"))
+        assert not any(scratch.iterdir())  # private drain store removed
+        assert outcome.cache == "uncached"
+        assert outcome.payload["units"]["computed"] == self.UNITS
+
+    def test_recompute_from_reaches_every_circuit(self, env_dir, tmp_path):
+        job = replace(self.JOB, workers=2)
+        store = StageCache(tmp_path / "a")
+        first = run_job(job, store=store).value
+        paths = {(name, stage): store._path(key)
+                 for name, res in first.items()
+                 for stage, key in res.meta["keys"].items()}
+        assert all(path.exists() for path in paths.values())
+        for path in paths.values():
+            os.utime(path, ns=(0, 0))
+        forced = run_job(job, store=store, recompute_from=("schedule",))
+        assert forced.payload["units"] == {"computed": 2,
+                                           "cached": self.UNITS - 2}
+        for (name, stage), path in paths.items():
+            status = forced.value[name].meta["stages"][stage]["cache"]
+            rewritten = path.stat().st_mtime_ns > 0
+            assert status == ("computed" if stage == "schedule"
+                              else "hit"), (name, stage)
+            assert rewritten == (stage == "schedule"), (name, stage)
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +350,21 @@ def _wait_done(service, job_id, timeout=60.0) -> dict:
     raise AssertionError(f"job {job_id} did not finish over HTTP")
 
 
+def _post_headers(service, headers: dict) -> tuple[int, dict]:
+    """POST /jobs with exactly ``headers`` and no body."""
+    host, port = service.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/jobs")
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 class TestHttpApi:
     def test_healthz(self, service):
         assert _get(f"{service.url}/healthz")["ok"] is True
@@ -344,3 +425,18 @@ class TestHttpApi:
         _post(f"{service.url}/jobs", {"kind": "flow", "circuit": "s27",
                                       "with_schedules": False})
         assert len(_get(f"{service.url}/jobs")["jobs"]) == before + 1
+
+    @pytest.mark.parametrize("length", [None, "-5", "abc", "1.5"])
+    def test_bad_content_length_is_400(self, service, length):
+        headers = {} if length is None else {"Content-Length": length}
+        status, body = _post_headers(service, headers)
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_unread(self, service):
+        # Only the header is sent: answering proves the body is not read.
+        status, body = _post_headers(
+            service, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert _get(f"{service.url}/healthz")["ok"] is True

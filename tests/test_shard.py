@@ -4,24 +4,21 @@ Covers the claim-by-rename protocol (exclusivity, stale steal,
 heartbeats), work-unit planning (DAG structure, LPT priority), the drain
 loop (resume, partial resume, stale-claim reclamation), the fork-based
 multi-worker driver (crash recovery with a killed worker), and end-to-end
-parity of sharded suite runs against the serial in-process flows.
+parity of multi-worker ``run_suite`` drains against the serial in-process
+flows.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.circuits.library import suite_entry
 from repro.experiments.artifact_cache import StageCache
-from repro.experiments.runner import (
-    SuiteRunConfig,
-    clear_cache,
-    run_suite,
-    suite_flow,
-)
+from repro.experiments.runner import SuiteRunConfig, run_suite, suite_flow
 from repro.experiments.shard import (
     ClaimBoard,
     ShardPlan,
@@ -29,7 +26,6 @@ from repro.experiments.shard import (
     WorkUnit,
     drain_units,
     run_plan,
-    run_suite_sharded,
     suite_plan,
     suite_timed_specs,
     timed_plan,
@@ -342,67 +338,75 @@ def _deep_signature(res):
     )
 
 
+def _statuses(results):
+    """``{(circuit, stage): cache status}`` over a suite's results."""
+    return {(name, stage): info["cache"]
+            for name, res in results.items()
+            for stage, info in res.meta["stages"].items()}
+
+
 class TestRunSuiteSharded:
+    """``run_suite`` with ``jobs > 1``: the stage-unit drain."""
+
     @pytest.fixture()
     def cfg(self):
         return SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
-                              with_schedules=True)
+                              with_schedules=True, jobs=2)
 
-    def test_requires_the_stage_store(self, cfg, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        with pytest.raises(RuntimeError, match="stage store"):
-            run_suite_sharded(cfg, workers=1)
+    def test_runs_without_a_store(self, cfg, tmp_path, monkeypatch):
+        # No store: the drain uses a private temporary one and removes it.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        results = run_suite(cfg, store=None)
+        assert list(results) == list(cfg.names)
+        assert set(_statuses(results).values()) == {"miss"}
+        assert not any(tmp_path.iterdir())
 
-    def test_matches_serial_flows_bit_identically(self, cfg, tmp_path,
-                                                  monkeypatch):
-        report = run_suite_sharded(cfg, workers=1,
-                                   store=StageCache(tmp_path / "a"))
+    def test_matches_serial_flows_bit_identically(self, cfg, tmp_path):
+        drained = run_suite(cfg, store=StageCache(tmp_path / "a"))
         # Serial reference: plain in-process flows, no cache at all.
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        clear_cache()
-        serial = run_suite(cfg)
-        clear_cache()
-        assert list(report.results) == list(serial)
+        serial = run_suite(replace(cfg, jobs=1), store=None)
+        assert list(drained) == list(serial)
         for name in serial:
-            assert (_deep_signature(report.results[name])
+            assert (_deep_signature(drained[name])
                     == _deep_signature(serial[name])), name
 
     def test_two_workers_match_one_worker(self, cfg, tmp_path):
-        one = run_suite_sharded(cfg, workers=1,
-                                store=StageCache(tmp_path / "one"))
-        two = run_suite_sharded(cfg, workers=2,
-                                store=StageCache(tmp_path / "two"))
+        one = run_suite(replace(cfg, jobs=1),
+                        store=StageCache(tmp_path / "one"))
+        two = run_suite(cfg, store=StageCache(tmp_path / "two"))
         for name in cfg.names:
-            assert (_deep_signature(one.results[name])
-                    == _deep_signature(two.results[name])), name
-        assert two.stats.worker_failures == 0
+            assert (_deep_signature(one[name])
+                    == _deep_signature(two[name])), name
+        assert _statuses(one) == _statuses(two)
 
     def test_rerun_resumes_entirely_from_store(self, cfg, tmp_path):
         store = StageCache(tmp_path)
-        first = run_suite_sharded(cfg, workers=1, store=store)
-        assert first.stats.computed == len(cfg.names) * len(STAGES)
-        second = run_suite_sharded(cfg, workers=1, store=store)
-        assert second.stats.computed == 0
+        first = run_suite(cfg, store=store)
+        assert list(_statuses(first).values()).count("miss") == \
+            len(cfg.names) * len(STAGES)
+        second = run_suite(cfg, store=store)
+        assert set(_statuses(second).values()) == {"hit"}
         for name in cfg.names:
-            assert (_deep_signature(first.results[name])
-                    == _deep_signature(second.results[name])), name
+            assert (_deep_signature(first[name])
+                    == _deep_signature(second[name])), name
 
     def test_partial_suite_resumes_missing_stages_only(self, cfg, tmp_path):
         store = StageCache(tmp_path)
-        run_suite_sharded(cfg, workers=1, store=store)
+        run_suite(cfg, store=store)
         plan = suite_plan(cfg, store=store)
         dropped = [u for u in plan.units
                    if u.circuit == "s9234" and u.stage == "schedule"]
         assert len(dropped) == 1
         store.delete(dropped[0].key)
-        resumed = run_suite_sharded(cfg, workers=1, store=store)
-        assert resumed.stats.computed == 1
+        resumed = run_suite(cfg, store=store)
+        assert [k for k, v in _statuses(resumed).items() if v != "hit"] \
+            == [("s9234", "schedule")]
 
     def test_pattern_budget_matches_run_suite(self, cfg, tmp_path):
-        # The shard planner derives the same pattern cap as run_suite, so
-        # stage keys (and artifacts) are shared between both entry points.
+        # The shard planner derives the same pattern cap as the in-process
+        # run, so stage keys (and artifacts) are shared between both.
         store = StageCache(tmp_path)
-        run_suite_sharded(cfg, workers=1, store=store)
+        run_suite(cfg, store=store)
         name = cfg.names[0]
         cap = suite_entry(name).pattern_budget(scale=cfg.scale)
         probe = suite_flow(name, cfg, cap, 1).cached_result(

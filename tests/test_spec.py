@@ -32,8 +32,7 @@ def example_jobs() -> dict[str, object]:
     return {
         "flow": FlowJob(circuit="s27", fast_ratio=2.5, pattern_cap=9,
                         engines=(("atpg", "reference"),)),
-        "suite": SuiteJob(names=("s27", "c17"), scale=0.6, workers=2,
-                          sharded=True),
+        "suite": SuiteJob(names=("s27", "c17"), scale=0.6, workers=2),
         "fleet": FleetJob(circuit="s27", devices=64, engine="reference",
                           jobs=2, scenario=ScenarioSpec(seed=3)),
         "resched": ReschedJob(circuit="s27", engine="cold",
@@ -135,7 +134,6 @@ class TestFingerprint:
     #: Execution knobs: results are bit-identical, fingerprints equal.
     NON_SEMANTIC = [
         ("suite", {"workers": 8}),
-        ("suite", {"sharded": False}),
         ("fleet", {"jobs": 16}),
     ]
 

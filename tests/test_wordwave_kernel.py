@@ -192,13 +192,24 @@ class TestFallbackReasons:
         assert reason is not None and "inertial" in reason
 
     def test_dont_cares_rejected(self, s27):
+        # Don't-cares are no fallback case: every engine rejects unfilled
+        # patterns up front and names the fix.
         from repro.atpg.patterns import PatternPair, TestSet
+        from repro.faults.detection import compute_detection_data
+        from repro.faults.universe import small_delay_fault_universe
         from repro.simulation.logic import X
+
         width = len(s27.sources())
-        ts = TestSet(s27)
-        ts.append(PatternPair((X,) + (0,) * (width - 1), (1,) * width))
-        reason = wordwave_fallback_reason(s27, ts, 5.0)
-        assert reason is not None and "don't-care" in reason
+        ts = TestSet(s27, [PatternPair((X,) + (0,) * (width - 1),
+                                       (1,) * width)])
+        faults = list(small_delay_fault_universe(s27))
+        assert wordwave_fallback_reason(s27, ts, 5.0) is None
+        for engine in ("wordwave", "incremental", "reference"):
+            with pytest.raises(ValueError, match=r"TestSet\.filled"):
+                compute_detection_data(s27, faults, ts, horizon=1000.0,
+                                       engine=engine)
+            compute_detection_data(s27, faults, ts.filled(seed=1),
+                                   horizon=1000.0, engine=engine)
 
     def test_supported_suite_circuit_accepted(self, s27):
         patterns = random_test_set(s27, 2, seed=1)
