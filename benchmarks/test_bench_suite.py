@@ -5,8 +5,8 @@ Three measurements back ``BENCH_suite.json``:
 * **Scaling curve** — the stage-unit scheduler drains a 120-circuit
   synthetic matrix (720 work units) at workers ∈ {1, 2, 4, 8}.  The
   units carry *modeled* durations (``timed_plan``: each unit sleeps for
-  its cost) so the curve measures the scheduler itself — claim traffic,
-  readiness probes, DAG packing — independent of the recording host's
+  its cost) so the curve measures the scheduler itself — dispatch,
+  readiness, DAG packing — independent of the recording host's
   core count; CI machines with 1-2 cores would otherwise make any
   CPU-bound multi-worker number meaningless.  ``host_cpus`` is recorded
   alongside so readers can judge the real-flow numbers in context.
@@ -54,7 +54,7 @@ SCALING_WORKERS = (1, 2, 4, 8)
 MATRIX_CIRCUITS = 120
 
 #: Serial wall-clock the timed matrix is normalized to (seconds).  Large
-#: enough that per-unit scheduler overhead (claim + stat traffic) stays
+#: enough that per-unit scheduler overhead (dispatch + stat traffic) stays
 #: a small fraction of a unit's cost; small enough for CI.
 TARGET_SERIAL_S = 12.0
 

@@ -297,8 +297,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         with_schedules=True if args.schedules else None,
         workers=args.workers)
     try:
-        outcome = _run_job(job, claim_ttl=args.claim_ttl,
-                           shard_progress=args.progress)
+        outcome = _run_job(job, shard_progress=args.progress)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -897,8 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser(
         "suite", help="suite runner over the shared stage store")
     p_suite.add_argument("--workers", type=int, default=1,
-                         help="cooperating worker processes claiming stage "
-                              "work units (default 1 = in-process)")
+                         help="worker processes draining stage work units "
+                              "(default 1 = in-process)")
     p_suite.add_argument("--profile", default="quick",
                          choices=("quick", "paper", "synth"),
                          help="suite to run: quick (4 circuits), paper "
@@ -912,9 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--schedules", action="store_true",
                          help="also optimize test schedules (synth profile "
                               "skips them by default)")
-    p_suite.add_argument("--claim-ttl", type=float, default=None,
-                         help="stale-claim reclamation TTL in seconds "
-                              "(default: REPRO_CLAIM_TTL or 30)")
     p_suite.add_argument("--progress", action="store_true",
                          help="print per-circuit stage progress")
     p_suite.set_defaults(func=cmd_suite)

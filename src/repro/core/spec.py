@@ -311,6 +311,12 @@ def _check_engines(pairs: Any, *, stages: tuple[str, ...] | None = None
     return tuple(sorted(seen.items()))
 
 
+def _check_circuit(kind: str, circuit: Any) -> None:
+    if not isinstance(circuit, str) or not circuit:
+        raise SpecError(f"{kind} job needs a non-empty 'circuit' string, "
+                        f"got {circuit!r}")
+
+
 def _check_resched_engine(name: str | None) -> None:
     if name is not None:
         try:
@@ -342,8 +348,7 @@ class FlowJob(JobSpec):
     with_coverage_schedules: bool = False
 
     def __post_init__(self) -> None:
-        if not self.circuit:
-            raise SpecError("flow job needs a non-empty 'circuit'")
+        _check_circuit("flow", self.circuit)
         if self.fast_ratio < 1.0:
             raise SpecError("fast_ratio must be >= 1")
         if not 0.0 <= self.monitor_fraction <= 1.0:
@@ -398,19 +403,20 @@ class SuiteJob(JobSpec):
     workers: int | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.names, str):
+            raise SpecError(f"suite 'names' must be a list of circuit "
+                            f"names, got the string {self.names!r}")
+        object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise SpecError("suite job needs at least one circuit name")
-        object.__setattr__(self, "names", tuple(self.names))
+        bad = [n for n in self.names if not isinstance(n, str) or not n]
+        if bad:
+            raise SpecError(f"suite 'names' entries must be non-empty "
+                            f"strings, got {bad!r}")
         if self.scale <= 0.0:
             raise SpecError("scale must be positive")
         if self.workers is not None and self.workers < 1:
             raise SpecError("workers must be >= 1 when given")
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "names" in payload and payload["names"] is not None:
-            payload["names"] = tuple(payload["names"])
-        return payload
 
     @classmethod
     def from_profile(cls, profile: str, *, count: int = 40,
@@ -474,8 +480,7 @@ class FleetJob(JobSpec):
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if not self.circuit:
-            raise SpecError("fleet job needs a non-empty 'circuit'")
+        _check_circuit("fleet", self.circuit)
         if self.devices < 1:
             raise SpecError("devices must be >= 1")
         if self.jobs < 1:
@@ -535,8 +540,7 @@ class ReschedJob(JobSpec):
     max_gates: int = 1
 
     def __post_init__(self) -> None:
-        if not self.circuit:
-            raise SpecError("resched job needs a non-empty 'circuit'")
+        _check_circuit("resched", self.circuit)
         if self.fast_ratio < 1.0:
             raise SpecError("fast_ratio must be >= 1")
         if not 0.0 <= self.monitor_fraction <= 1.0:

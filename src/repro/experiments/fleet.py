@@ -13,7 +13,7 @@ entirely from cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -110,7 +110,7 @@ def run_fleet_study(circuit: Circuit, *,
     cfg = config or FlowConfig()
     if engine is not None:
         others = tuple((s, e) for s, e in cfg.engines if s != "aging")
-        cfg = FlowConfig(engines=others + (("aging", engine),))
+        cfg = replace(cfg, engines=others + (("aging", engine),))
     ctx = StageContext(circuit=circuit, config=cfg,
                        fleet_spec=spec, fleet_devices=devices,
                        fleet_jobs=jobs)

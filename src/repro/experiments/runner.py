@@ -149,8 +149,7 @@ def _execute_flow(name: str, cfg: SuiteRunConfig, *, stage_jobs: int,
 
 def _drain_suite(cfg: SuiteRunConfig, store: StageCache | None, *,
                  recompute_from: tuple[str, ...], progress: bool,
-                 timer: StageTimer | None, ttl: float | None
-                 ) -> dict[str, FlowResult]:
+                 timer: StageTimer | None) -> dict[str, FlowResult]:
     """Run ``cfg`` as stage work units drained by ``cfg.jobs`` workers.
 
     The forced stages' artifacts are deleted up front, so the drain
@@ -166,7 +165,7 @@ def _drain_suite(cfg: SuiteRunConfig, store: StageCache | None, *,
         with tempfile.TemporaryDirectory(prefix="repro-suite-") as tmp:
             return _drain_suite(cfg, StageCache(tmp),
                                 recompute_from=recompute_from,
-                                progress=progress, timer=timer, ttl=ttl)
+                                progress=progress, timer=timer)
     plan = suite_plan(cfg, store=store, progress=progress)
     forced = (DEFAULT_PIPELINE.descendants(recompute_from)
               if recompute_from else set())
@@ -174,7 +173,7 @@ def _drain_suite(cfg: SuiteRunConfig, store: StageCache | None, *,
         if unit.stage in forced:
             store.delete(unit.key)
     present = {u.key for u in plan.units if store.contains(u.key)}
-    stats = run_plan(plan, workers=cfg.jobs, store=store, ttl=ttl)
+    stats = run_plan(plan, workers=cfg.jobs, store=store)
     if timer is not None:
         timer.merge(stats.timer)
 
@@ -202,8 +201,7 @@ def run_suite(config: SuiteRunConfig | None = None,
               *, store: Any = ENV_STORE,
               recompute_from: tuple[str, ...] = (),
               progress: bool = False,
-              timer: StageTimer | None = None,
-              ttl: float | None = None) -> dict[str, FlowResult]:
+              timer: StageTimer | None = None) -> dict[str, FlowResult]:
     """Run (or fetch cached) flow results for every circuit of the config.
 
     ``store`` is the stage store the suite runs against: the default
@@ -215,9 +213,7 @@ def run_suite(config: SuiteRunConfig | None = None,
     actually executed (cache hits contribute nothing; workers' splits
     are merged in).  ``recompute_from`` forces the named pipeline stages
     plus everything downstream to recompute even when cached — unknown
-    names raise ``ValueError`` listing the registered stages.  ``ttl``
-    is the stale-claim age of the multi-worker drain
-    (:func:`repro.experiments.shard.default_claim_ttl`).
+    names raise ``ValueError`` listing the registered stages.
     """
     cfg = config or SuiteRunConfig()
     recompute_from = tuple(recompute_from)
@@ -232,7 +228,7 @@ def run_suite(config: SuiteRunConfig | None = None,
         memo.update(_drain_suite(
             replace(cfg, names=tuple(pending)), store,
             recompute_from=recompute_from, progress=progress,
-            timer=timer, ttl=ttl))
+            timer=timer))
     else:
         # Serial circuits: hand the job budget to the in-flow stage pools.
         for name in pending:

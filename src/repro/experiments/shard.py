@@ -5,31 +5,32 @@ serialize the suite's tail while other workers idle.  This module (the
 ``jobs > 1`` shape of :func:`repro.experiments.runner.run_suite`)
 decomposes a suite run into **stage work units** — the serializable
 ``(circuit, stage, upstream-keys)`` descriptors of
-:meth:`repro.core.pipeline.Pipeline.unit_descriptors` — and turns the
-Merkle-keyed :class:`~repro.experiments.artifact_cache.StageCache` into a
-coordination substrate for any number of independent worker processes:
+:meth:`repro.core.pipeline.Pipeline.unit_descriptors` — and drains them
+with a pool of forked workers scheduled by the parent process:
 
-* **Readiness** is an artifact-presence check: a unit may run once every
-  upstream stage key exists in the store.  Workers learn about remote
-  progress purely through the filesystem, so the design is multi-process
-  today and multi-host-shaped (any shared ``REPRO_CACHE_DIR`` works).
-* **Claims** are lock-free: a worker claims a unit by exclusively creating
-  ``claims/<key>.claim`` (atomic on POSIX), heartbeats the claim's mtime
-  from a daemon thread while the stage runs, and releases it after the
-  atomic artifact store.  A killed worker stops heartbeating; once the
-  claim's age exceeds the TTL any other worker *steals* it with an atomic
-  ``os.rename`` to a per-worker tombstone — exactly one thief wins — and
-  re-runs the unit.  Claims only dedupe work: artifact writes are atomic
-  and stage execution is deterministic, so the rare duplicated execution
-  under claim races is waste, never corruption.
-* **Scheduling** is dynamic and greedy: every worker scans the shared
-  frontier in priority order (circuits sorted by estimated cost,
-  longest-processing-time first; stages in topological order) and runs the
-  first ready unclaimed unit.  Ready units are picked up the moment their
-  upstream artifacts land, instead of pinning one circuit per worker.
-* **Resumability** falls out: re-invoking the same suite recomputes
-  nothing that already has an artifact, so a partially-completed (or
-  killed) suite run picks up exactly the missing stage units.
+* **Scheduling** happens in the parent, which knows the plan's DAG.  It
+  keeps at most ``workers`` units in flight; whenever one finishes it
+  submits the first pending unit, in priority order (circuits sorted by
+  estimated cost, longest-processing-time first; stages in topological
+  order), whose in-plan upstream units are done.  Ready units start the
+  moment their upstreams land instead of one circuit being pinned to
+  one worker.
+* **Artifacts** travel through the Merkle-keyed
+  :class:`~repro.experiments.artifact_cache.StageCache`: a worker loads
+  its upstream artifacts from the store, runs the stage, stores the
+  result and returns only its :class:`~repro.utils.profiling.StageTimer`.
+  The parent checks that the artifact landed.
+* **Crashes**: a worker killed mid-unit breaks the pool; the parent
+  starts a fresh one and re-submits the units not yet stored.  A unit
+  in flight at :data:`MAX_BREAKS_PER_UNIT` breaks is taken to be the
+  cause and the drain stops with a resume hint.
+* **Resumability** comes from the store: units whose artifacts already
+  exist count as hits, so re-invoking a partially-completed (or killed)
+  suite run computes exactly the missing stage units.
+
+Two *concurrent, independent* drains over one store do not coordinate,
+so they may compute the same unit twice.  That wastes work but cannot
+corrupt anything: store writes are atomic and stages are deterministic.
 
 :func:`repro.experiments.runner.run_suite` drives ``suite_plan`` +
 ``run_plan`` whenever it runs more than one circuit with ``jobs > 1``
@@ -37,23 +38,21 @@ coordination substrate for any number of independent worker processes:
 ``timed_plan``/``run_plan`` drive the same scheduler with
 simulated-duration units, which is how ``BENCH_suite.json`` measures
 scheduler scaling independently of the recording host's core count.
-
-Environment knobs: ``REPRO_CLAIM_TTL`` (stale-claim age in seconds,
-default 30; heartbeats refresh at TTL/4, so it bounds how long a killed
-worker's unit stays orphaned, not the longest stage duration).
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
 import multiprocessing as mp
-import os
-import threading
 import time
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.circuits.library import suite_entry, synthetic_suite
@@ -63,16 +62,10 @@ from repro.experiments.artifact_cache import StageCache
 from repro.experiments.runner import SuiteRunConfig, suite_flow
 from repro.utils.profiling import StageTimer
 
-#: Default stale-claim TTL in seconds (override via ``REPRO_CLAIM_TTL``).
-DEFAULT_CLAIM_TTL = 30.0
+#: A unit in flight at this many worker-pool breaks stops the drain.
+MAX_BREAKS_PER_UNIT = 2
 
-
-def default_claim_ttl() -> float:
-    try:
-        return max(0.05, float(os.environ.get("REPRO_CLAIM_TTL",
-                                              DEFAULT_CLAIM_TTL)))
-    except ValueError:
-        return DEFAULT_CLAIM_TTL
+_RESUME_HINT = "re-invoke to resume from the stage store"
 
 
 # ----------------------------------------------------------------------
@@ -95,29 +88,11 @@ class WorkUnit:
 
 @dataclass
 class ShardStats:
-    """Aggregated accounting of one sharded run."""
+    """Accounting of one drained plan."""
 
     computed: int = 0
     hits: int = 0
-    reclaimed: int = 0
-    wait_s: float = 0.0
-    worker_failures: int = 0
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     timer: StageTimer = field(default_factory=StageTimer)
-
-    def credit(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = (self.stage_seconds.get(stage, 0.0)
-                                     + seconds)
-
-    def merge(self, other: "ShardStats") -> None:
-        self.computed += other.computed
-        self.hits += other.hits
-        self.reclaimed += other.reclaimed
-        self.wait_s += other.wait_s
-        self.worker_failures += other.worker_failures
-        for stage, seconds in other.stage_seconds.items():
-            self.credit(stage, seconds)
-        self.timer.merge(other.timer)
 
 
 class ShardPlan:
@@ -130,17 +105,11 @@ class ShardPlan:
     """
 
     def __init__(self, units: Sequence[WorkUnit],
-                 execute: Callable[[WorkUnit, StageTimer | None], Any],
-                 *, label: str = "plan") -> None:
+                 execute: Callable[[WorkUnit, StageTimer | None], Any]
+                 ) -> None:
         self.units = tuple(units)
-        self._execute = execute
-        self.label = label
-
-    def executor(self, store: StageCache, timer: StageTimer | None,
-                 ) -> Callable[[WorkUnit], Any]:
-        def run(unit: WorkUnit) -> Any:
-            return self._execute(unit, timer)
-        return run
+        #: Runs one unit and returns its artifact (not yet stored).
+        self.execute = execute
 
     @staticmethod
     def order_units(units: Iterable[WorkUnit]) -> list[WorkUnit]:
@@ -200,8 +169,7 @@ def suite_plan(cfg: SuiteRunConfig, *,
             inputs[dep_name] = artifact
         return stage.run(ctx, inputs)
 
-    return ShardPlan(ShardPlan.order_units(units), execute,
-                     label=f"suite[{len(cfg.names)}]")
+    return ShardPlan(ShardPlan.order_units(units), execute)
 
 
 @dataclass(frozen=True)
@@ -244,7 +212,7 @@ def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
                order: str = "lpt") -> ShardPlan:
     """A plan whose units sleep for their cost instead of running stages.
 
-    This benchmarks the *scheduler* (claims, readiness, packing) with
+    This benchmarks the *scheduler* (dispatch, readiness, packing) with
     modeled stage durations, independent of host core count.  ``nonce``
     salts the unit keys so repeated benchmark runs never hit stale
     artifacts.  ``granularity="circuit"`` collapses each circuit into a
@@ -293,313 +261,118 @@ def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
 
     if order == "lpt":
         units = ShardPlan.order_units(units)
-    return ShardPlan(units, execute, label=f"timed[{len(units)}]")
+    return ShardPlan(units, execute)
 
 
 # ----------------------------------------------------------------------
-# Claim board: lock-free unit claims in the shared store
+# Dispatcher
 # ----------------------------------------------------------------------
-class _Heartbeat:
-    """Thread refreshing a claim's mtime while its stage runs.
-
-    Lifecycle is explicit: :meth:`cancel` stops the thread and joins it,
-    so long-lived processes (the service orchestrator's workers) never
-    accumulate heartbeat threads across units.  Threads are named
-    ``repro-heartbeat-*`` so leaks are observable, and a heartbeat whose
-    claim has vanished (released, or stolen after a stall) terminates
-    itself on the next tick instead of spinning until process exit.
-    """
-
-    #: Live-thread name prefix (regression tests count against this).
-    THREAD_PREFIX = "repro-heartbeat"
-
-    def __init__(self, board: "ClaimBoard", key: str) -> None:
-        self._board = board
-        self._key = key
-        self._stop = threading.Event()
-        interval = max(0.05, board.ttl / 4.0)
-        self._thread = threading.Thread(
-            target=self._run, args=(interval,), daemon=True,
-            name=f"{self.THREAD_PREFIX}-{key[:12]}")
-
-    def _run(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            if not self._board.refresh(self._key):
-                return  # claim gone (released or stolen): stop refreshing
-
-    def start(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def cancel(self) -> None:
-        """Stop and join the refresher (idempotent).
-
-        The join is bounded only to survive a pathologically hung
-        ``os.utime`` (network filesystems); the thread observes the stop
-        event within one wait slice, so the join normally returns in
-        microseconds.
-        """
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "_Heartbeat":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.cancel()
+#: A forked worker's plan and store (plan objects hold closures, so they
+#: ride the fork as pool initializer arguments instead of a pickle).
+_FORK_STATE: tuple[ShardPlan, StageCache] | None = None
 
 
-class ClaimBoard:
-    """Lock-free unit claims: exclusive-create, heartbeat, rename-steal.
-
-    Lives in a ``claims/`` directory next to the versioned stage store.
-    All operations are safe under arbitrary concurrency; the worst a race
-    can produce is one duplicated (idempotent) stage execution.
-    """
-
-    def __init__(self, root: Path, *, ttl: float | None = None,
-                 worker: str | None = None) -> None:
-        self.root = Path(root)
-        self.ttl = default_claim_ttl() if ttl is None else max(0.05, ttl)
-        self.worker = worker or f"pid{os.getpid()}"
-        self._seq = itertools.count()
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    @classmethod
-    def for_store(cls, store: StageCache, *, ttl: float | None = None,
-                  worker: str | None = None) -> "ClaimBoard":
-        return cls(Path(store.root) / "claims", ttl=ttl, worker=worker)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.claim"
-
-    def try_claim(self, key: str) -> bool:
-        """Atomically claim ``key``; False when somebody else holds it."""
-        try:
-            fd = os.open(self._path(key),
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps({"worker": self.worker,
-                                 "claimed_at": time.time()}))
-        return True
-
-    def release(self, key: str) -> None:
-        try:
-            os.unlink(self._path(key))
-        except OSError:
-            pass
-
-    def refresh(self, key: str) -> bool:
-        """Heartbeat: bump the claim's mtime.
-
-        Returns False when the claim no longer exists (released or
-        stolen) so the heartbeat thread can retire itself.
-        """
-        try:
-            os.utime(self._path(key))
-        except OSError:
-            return False
-        return True
-
-    def age(self, key: str) -> float | None:
-        """Seconds since the claim's last heartbeat, or None if absent."""
-        try:
-            return max(0.0, time.time() - self._path(key).stat().st_mtime)
-        except OSError:
-            return None
-
-    def heartbeat(self, key: str) -> _Heartbeat:
-        return _Heartbeat(self, key).start()
-
-    def reclaim_if_stale(self, key: str) -> bool:
-        """Steal an expired claim; True iff *this* board won the steal.
-
-        The steal is an atomic ``os.rename`` of the claim file to a
-        per-worker tombstone: under contention exactly one renamer
-        succeeds, so a dead worker's unit is re-run once, not N times.
-        If the rename lands on a claim that turned out to be fresh (the
-        stale holder released and another worker re-claimed inside our
-        stat/rename window), the tombstone is linked back when possible
-        and the steal is reported as lost.
-        """
-        path = self._path(key)
-        age = self.age(key)
-        if age is None or age <= self.ttl:
-            return False
-        tomb = path.with_name(
-            f"{path.name}.stale-{self.worker}-{next(self._seq)}")
-        try:
-            os.rename(path, tomb)
-        except OSError:
-            return False  # another thief won, or the holder finished
-        try:
-            stolen_age = max(0.0, time.time() - tomb.stat().st_mtime)
-            if stolen_age <= self.ttl:
-                # Mis-steal of a freshly re-created claim: restore it
-                # unless the slot was re-claimed in the meantime.
-                try:
-                    os.link(tomb, path)
-                except OSError:
-                    pass
-                os.unlink(tomb)
-                return False
-            os.unlink(tomb)
-        except OSError:
-            pass
-        return True
+def _adopt(plan: ShardPlan, store: StageCache) -> None:
+    global _FORK_STATE
+    _FORK_STATE = (plan, store)
 
 
-# ----------------------------------------------------------------------
-# Worker loop
-# ----------------------------------------------------------------------
-def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
-                timer: StageTimer | None = None,
-                poll: float = 0.02) -> ShardStats:
-    """Run ready units from ``plan`` until every unit has an artifact.
-
-    The scan is restarted from the top after each completed unit so the
-    LPT priority order is honored; when no unit is ready (all claimed
-    elsewhere or blocked on upstreams) the worker sleeps ``poll`` seconds
-    — with a capped exponential backoff — and rescans, reclaiming any
-    claim whose heartbeat has gone stale.
-    """
-    stats = ShardStats(timer=timer or StageTimer())
-    execute = plan.executor(store, stats.timer)
-    done: set[str] = set()
-    remaining: dict[str, WorkUnit] = {u.key: u for u in plan.units}
-    backoff = poll
-
-    def have(key: str) -> bool:
-        if key in done:
-            return True
-        if store.contains(key):
-            done.add(key)
-            return True
-        return False
-
-    while remaining:
-        advanced = False
-        for key, unit in list(remaining.items()):
-            if have(key):
-                del remaining[key]
-                stats.hits += 1
-                advanced = True
-                continue
-            if not all(have(k) for _, k in unit.deps):
-                continue
-            claimed = board.try_claim(key)
-            if not claimed and board.reclaim_if_stale(key):
-                stats.reclaimed += 1
-                claimed = board.try_claim(key)
-            if not claimed:
-                continue
-            if have(key):
-                # Raced with a finishing worker between probe and claim.
-                board.release(key)
-                del remaining[key]
-                stats.hits += 1
-                advanced = True
-                continue
-            t0 = time.perf_counter()
-            try:
-                # The context manager stops *and joins* the heartbeat on
-                # unit completion (or failure) before the claim is
-                # released — no thread outlives its unit.
-                with board.heartbeat(key):
-                    artifact = execute(unit)
-                    store.store(key, artifact)
-            finally:
-                board.release(key)
-            stats.credit(unit.stage, time.perf_counter() - t0)
-            done.add(key)
-            del remaining[key]
-            stats.computed += 1
-            advanced = True
-            break  # rescan from the top: honor the LPT priority order
-        if remaining and not advanced:
-            time.sleep(backoff)
-            stats.wait_s += backoff
-            backoff = min(backoff * 2.0, max(poll, 0.25))
-        else:
-            backoff = poll
-    return stats
+def _run_unit(plan: ShardPlan, store: StageCache,
+              unit: WorkUnit) -> StageTimer:
+    """Execute one unit, store its artifact and return the unit's timer."""
+    timer = StageTimer()
+    store.store(unit.key, plan.execute(unit, timer))
+    return timer
 
 
-# ----------------------------------------------------------------------
-# Multi-process driver
-# ----------------------------------------------------------------------
-#: Inherited by forked workers (plan objects hold closures, so they ride
-#: the fork instead of a pickle).
-_FORK_STATE: tuple[ShardPlan, StageCache, float, float] | None = None
-
-
-def _worker_main(seat: int, queue) -> None:
+def _forked_unit(unit: WorkUnit) -> StageTimer:
     assert _FORK_STATE is not None
-    plan, store, ttl, poll = _FORK_STATE
-    board = ClaimBoard.for_store(store, ttl=ttl,
-                                 worker=f"w{seat}-pid{os.getpid()}")
-    try:
-        stats = drain_units(plan, store, board, poll=poll)
-    except BaseException as exc:  # surface the cause to the parent
-        queue.put(("error", seat, f"{type(exc).__name__}: {exc}"))
-        raise
-    queue.put(("stats", seat, stats))
+    return _run_unit(*_FORK_STATE, unit)
+
+
+def _unit_failed(unit: WorkUnit, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"unit {unit.circuit}/{unit.stage} failed "
+                        f"({type(exc).__name__}: {exc}); {_RESUME_HINT}")
 
 
 def run_plan(plan: ShardPlan, *, workers: int = 1,
-             store: StageCache, ttl: float | None = None,
-             poll: float = 0.02) -> ShardStats:
-    """Drain a plan with ``workers`` cooperating processes.
+             store: StageCache) -> ShardStats:
+    """Drain ``plan`` into ``store`` with up to ``workers`` processes.
 
-    Worker processes are forked (they inherit the plan copy-on-write);
-    without the fork start method — or with ``workers <= 1`` — the plan
-    drains in-process, which still goes through the claim board and the
-    store, so resumability and crash reclamation behave identically.
+    Units already in the store count as hits.  With ``workers > 1`` the
+    parent keeps up to ``workers`` units in flight on a fork-context
+    process pool (workers inherit the plan copy-on-write) and submits
+    the first ready pending unit in plan order whenever a slot frees.
+    Without the fork start method, or with ``workers <= 1``, the units
+    run in-process in plan order.
 
-    A worker that dies mid-run is tolerated as long as the survivors
-    complete the plan (its claimed units are reclaimed after the TTL);
-    if the plan is left incomplete, the first worker error is raised.
+    A unit that raises, or whose artifact did not land in the store,
+    raises ``RuntimeError``.  A worker killed mid-unit breaks the pool;
+    a fresh pool then continues with the units not yet stored, unless a
+    unit was in flight at :data:`MAX_BREAKS_PER_UNIT` breaks.
     """
-    ttl = default_claim_ttl() if ttl is None else ttl
-    workers = max(1, int(workers))
-    if workers == 1 or "fork" not in mp.get_all_start_methods():
-        board = ClaimBoard.for_store(store, ttl=ttl)
-        return drain_units(plan, store, board, poll=poll)
-
-    global _FORK_STATE
-    ctx = mp.get_context("fork")
-    queue = ctx.SimpleQueue()
-    _FORK_STATE = (plan, store, ttl, poll)
-    try:
-        procs = [ctx.Process(target=_worker_main, args=(seat, queue))
-                 for seat in range(workers)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-    finally:
-        _FORK_STATE = None
-
     stats = ShardStats()
-    errors: list[str] = []
-    while not queue.empty():
-        kind, _seat, payload = queue.get()
-        if kind == "stats":
-            stats.merge(payload)
+    pending: list[WorkUnit] = []
+    for unit in plan.units:
+        if store.contains(unit.key):
+            stats.hits += 1
         else:
-            errors.append(payload)
-    stats.worker_failures = sum(1 for p in procs if p.exitcode != 0)
-    incomplete = [u for u in plan.units if not store.contains(u.key)]
-    if incomplete:
-        detail = errors[0] if errors else (
-            f"worker exit codes {[p.exitcode for p in procs]}")
-        raise RuntimeError(
-            f"sharded run left {len(incomplete)} unit(s) incomplete "
-            f"({detail}); re-invoke to resume from the stage store")
+            pending.append(unit)
+    unfinished = {u.key for u in pending}
+
+    def finish(unit: WorkUnit, timer: StageTimer) -> None:
+        if not store.contains(unit.key):
+            raise RuntimeError(
+                f"unit {unit.circuit}/{unit.stage} ran, but writing its "
+                f"artifact to the stage store at {store.root} failed")
+        unfinished.discard(unit.key)
+        stats.computed += 1
+        stats.timer.merge(timer)
+
+    if workers <= 1 or "fork" not in mp.get_all_start_methods():
+        for unit in pending:
+            try:
+                timer = _run_unit(plan, store, unit)
+            except Exception as exc:
+                raise _unit_failed(unit, exc) from exc
+            finish(unit, timer)
+        return stats
+
+    breaks: dict[str, int] = {}
+    while pending:
+        in_flight: dict[Future, WorkUnit] = {}
+        try:
+            with ProcessPoolExecutor(
+                    workers, mp_context=mp.get_context("fork"),
+                    initializer=_adopt, initargs=(plan, store)) as pool:
+                while pending or in_flight:
+                    for unit in list(pending):
+                        if len(in_flight) == workers:
+                            break
+                        if not any(k in unfinished for _, k in unit.deps):
+                            pending.remove(unit)
+                            in_flight[pool.submit(_forked_unit, unit)] = unit
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        unit = in_flight[fut]
+                        try:
+                            timer = fut.result()
+                        except BrokenProcessPool:
+                            raise
+                        except Exception as exc:
+                            raise _unit_failed(unit, exc) from exc
+                        del in_flight[fut]
+                        finish(unit, timer)
+        except BrokenProcessPool as exc:
+            for unit in in_flight.values():
+                if store.contains(unit.key):  # landed before the break
+                    finish(unit, StageTimer())
+                    continue
+                breaks[unit.key] = breaks.get(unit.key, 0) + 1
+                if breaks[unit.key] == MAX_BREAKS_PER_UNIT:
+                    raise RuntimeError(
+                        f"unit {unit.circuit}/{unit.stage} was in flight "
+                        f"at {MAX_BREAKS_PER_UNIT} worker crashes; "
+                        f"{_RESUME_HINT}") from exc
+            pending = [u for u in plan.units if u.key in unfinished]
     return stats

@@ -16,8 +16,9 @@ Two layers:
   after completion re-executes through the stage store, where every
   stage hits — the interactive (< 50 ms class) replay path measured in
   ``BENCH_service.json``.  Worker tasks fan CPU work out via a thread
-  executor; multi-worker suite jobs additionally fork stage-unit
-  workers over the shard ``ClaimBoard`` substrate.  Progress events
+  executor; multi-worker suite jobs additionally fork a pool of
+  stage-unit workers that the job's thread schedules
+  (:func:`repro.experiments.shard.run_plan`).  Progress events
   (queued / started / per-stage timings from the ``StageTimer``-backed
   pipeline meta / done) stream to any number of listeners per job.
 """
@@ -146,8 +147,7 @@ def _execute_suite(job: SuiteJob, store, recompute_from, progress,
     cfg = job.run_config()
     results = run_suite(
         cfg, store=store, recompute_from=recompute_from,
-        progress=bool(options.get("shard_progress")), timer=timer,
-        ttl=options.get("claim_ttl"))
+        progress=bool(options.get("shard_progress")), timer=timer)
     statuses = [info["cache"] for res in results.values()
                 for info in res.meta["stages"].values()]
     cached = statuses.count("hit")
@@ -253,7 +253,7 @@ def run_job(spec: JobSpec, *,
     is an *execution option*, deliberately not part of the spec, so a
     deduped/cached submission can never silently skip a requested
     recompute.  Extra keyword ``options`` are per-kind execution knobs
-    (``claim_ttl``, ``shard_progress`` for suites).
+    (``shard_progress`` for suites).
     """
     executor = _EXECUTORS.get(type(spec))
     if executor is None:

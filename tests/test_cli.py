@@ -141,7 +141,6 @@ class TestSuiteCommand:
         args = build_parser().parse_args(["suite"])
         assert args.workers == 1
         assert args.profile == "quick"
-        assert args.claim_ttl is None
 
     def test_suite_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):

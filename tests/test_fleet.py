@@ -19,6 +19,7 @@ from repro.aging.fleet import (
 )
 from repro.aging.prediction import predict_fleet
 from repro.aging.scenario import ScenarioSpec
+from repro.core.config import FlowConfig
 from repro.experiments.artifact_cache import StageCache
 from repro.experiments.fleet import fleet_distributions, run_fleet_study
 
@@ -164,6 +165,18 @@ class TestFleetStudy:
         assert ref.meta["stages"]["aging"]["cache"] == "miss"
         assert np.array_equal(vec.artifact.result.slack,
                               ref.artifact.result.slack)
+
+    def test_explicit_engine_keeps_the_callers_config(self, s27):
+        # Naming the default engine must not reset the rest of the
+        # config (monitor placement here) to FlowConfig defaults.
+        cfg = FlowConfig(monitor_delay_fractions=(0.05,),
+                         monitor_fraction=1.0)
+        implicit = run_fleet_study(s27, spec=SPEC, devices=16,
+                                   config=cfg, use_cache=False)
+        explicit = run_fleet_study(s27, spec=SPEC, devices=16,
+                                   config=cfg, engine="vectorized",
+                                   use_cache=False)
+        assert explicit.artifact.metrics == implicit.artifact.metrics
 
     def test_summary_shape(self, s27):
         study = run_fleet_study(s27, spec=SPEC, devices=32, use_cache=False)

@@ -415,6 +415,14 @@ class TestHttpApi:
         assert err.value.code == 400
         assert "unknown job kind" in json.loads(err.value.read())["error"]
 
+    def test_malformed_field_types_are_400(self, service):
+        for doc in ({"kind": "suite", "names": "s27"},
+                    {"kind": "flow", "circuit": ["s27"]}):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(f"{service.url}/jobs", doc)
+            assert err.value.code == 400, doc
+            assert "string" in json.loads(err.value.read())["error"]
+
     def test_unknown_job_is_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{service.url}/jobs/job-9999")

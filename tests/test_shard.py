@@ -1,11 +1,9 @@
 """Tests for the sharded suite runner (``repro.experiments.shard``).
 
-Covers the claim-by-rename protocol (exclusivity, stale steal,
-heartbeats), work-unit planning (DAG structure, LPT priority), the drain
-loop (resume, partial resume, stale-claim reclamation), the fork-based
-multi-worker driver (crash recovery with a killed worker), and end-to-end
-parity of multi-worker ``run_suite`` drains against the serial in-process
-flows.
+Covers work-unit planning (DAG structure, LPT priority), the drain
+(resume, partial resume, failed store writes), the fork-based dispatcher
+(crash recovery with a killed worker), and end-to-end parity of
+multi-worker ``run_suite`` drains against the serial in-process flows.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from repro.circuits.library import suite_entry
 from repro.experiments.artifact_cache import StageCache
 from repro.experiments.runner import SuiteRunConfig, run_suite, suite_flow
 from repro.experiments.shard import (
-    ClaimBoard,
     ShardPlan,
     TimedStage,
     WorkUnit,
-    drain_units,
     run_plan,
     suite_plan,
     suite_timed_specs,
@@ -32,67 +28,6 @@ from repro.experiments.shard import (
 )
 
 STAGES = ("sta", "faults", "atpg", "simulation", "classify", "schedule")
-
-
-def _backdate(path, seconds: float) -> None:
-    old = time.time() - seconds
-    os.utime(path, times=(old, old))
-
-
-# ----------------------------------------------------------------------
-# Claim board
-# ----------------------------------------------------------------------
-class TestClaimBoard:
-    @pytest.fixture()
-    def board(self, tmp_path):
-        return ClaimBoard(tmp_path / "claims", ttl=30.0, worker="a")
-
-    def test_claim_is_exclusive(self, board):
-        assert board.try_claim("k1")
-        assert not board.try_claim("k1")
-        board.release("k1")
-        assert board.try_claim("k1")
-
-    def test_independent_keys_do_not_interfere(self, board):
-        assert board.try_claim("k1")
-        assert board.try_claim("k2")
-
-    def test_fresh_claim_is_not_stolen(self, board, tmp_path):
-        board.try_claim("k1")
-        thief = ClaimBoard(tmp_path / "claims", ttl=30.0, worker="b")
-        assert not thief.reclaim_if_stale("k1")
-        assert not thief.try_claim("k1")  # still held
-
-    def test_stale_claim_is_stolen_exactly_once(self, board, tmp_path):
-        board.try_claim("k1")
-        _backdate(board._path("k1"), seconds=120.0)
-        thief = ClaimBoard(tmp_path / "claims", ttl=30.0, worker="b")
-        other = ClaimBoard(tmp_path / "claims", ttl=30.0, worker="c")
-        assert thief.reclaim_if_stale("k1")
-        assert not other.reclaim_if_stale("k1")  # already gone
-        assert thief.try_claim("k1")  # slot is free again
-
-    def test_missing_claim_is_not_stale(self, board):
-        assert board.age("nope") is None
-        assert not board.reclaim_if_stale("nope")
-
-    def test_heartbeat_keeps_long_claims_alive(self, tmp_path):
-        board = ClaimBoard(tmp_path / "claims", ttl=0.3, worker="a")
-        board.try_claim("k1")
-        beat = board.heartbeat("k1")
-        try:
-            time.sleep(0.7)  # > TTL: without heartbeats this would expire
-            thief = ClaimBoard(tmp_path / "claims", ttl=0.3, worker="b")
-            assert not thief.reclaim_if_stale("k1")
-        finally:
-            beat.cancel()
-
-    def test_ttl_floor_and_env_default(self, tmp_path, monkeypatch):
-        assert ClaimBoard(tmp_path, ttl=0.0).ttl == 0.05
-        monkeypatch.setenv("REPRO_CLAIM_TTL", "7.5")
-        assert ClaimBoard(tmp_path).ttl == 7.5
-        monkeypatch.setenv("REPRO_CLAIM_TTL", "junk")
-        assert ClaimBoard(tmp_path).ttl == 30.0
 
 
 # ----------------------------------------------------------------------
@@ -179,95 +114,64 @@ class TestDrain:
         assert stats.computed == 1
         assert stats.hits == len(plan.units) - 1
 
-    def test_drain_reclaims_stale_claim(self, tmp_path):
-        store = StageCache(tmp_path)
-        plan = timed_plan(self._tiny_specs(1), nonce="stale")
-        board = ClaimBoard.for_store(store, ttl=0.1, worker="live")
-        dead = ClaimBoard.for_store(store, ttl=0.1, worker="dead")
-        first_ready = plan.units[0]
-        assert dead.try_claim(first_ready.key)  # orphaned claim
-        _backdate(dead._path(first_ready.key), seconds=10.0)
-        stats = drain_units(plan, store, board, poll=0.01)
-        assert stats.reclaimed == 1
-        assert stats.computed == len(plan.units)
+    def test_drain_leaves_no_threads_or_processes(self, tmp_path):
+        # A long-lived process (the service orchestrator) drains many
+        # plans; none may leave a pool thread or a worker behind.
+        import multiprocessing
+        import threading
 
-    def test_drain_waits_out_fresh_foreign_claim(self, tmp_path):
-        # A unit freshly claimed elsewhere is not stolen; the worker
-        # polls until the TTL expires, then reclaims and finishes.
-        store = StageCache(tmp_path)
-        plan = timed_plan(self._tiny_specs(1), nonce="wait")
-        board = ClaimBoard.for_store(store, ttl=0.2, worker="live")
-        foreign = ClaimBoard.for_store(store, ttl=0.2, worker="gone")
-        assert foreign.try_claim(plan.units[0].key)
-        t0 = time.perf_counter()
-        stats = drain_units(plan, store, board, poll=0.01)
-        assert time.perf_counter() - t0 >= 0.2
-        assert stats.reclaimed == 1
+        before = set(threading.enumerate())
+        plan = timed_plan(self._tiny_specs(), nonce="leak")
+        stats = run_plan(plan, workers=2, store=StageCache(tmp_path))
         assert stats.computed == len(plan.units)
-        assert stats.wait_s > 0
+        assert set(threading.enumerate()) <= before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_store_write_names_unit_and_store(self, tmp_path,
+                                                     workers):
+        # A store whose writes fail (a full or read-only disk) only
+        # warns; resuming cannot help, so the drain must say so.
+        store = _DroppingStore(tmp_path)
+        plan = timed_plan(self._tiny_specs(1), nonce="dropped")
+        with pytest.raises(RuntimeError,
+                           match=r"unit c0/\w+ ran, but writing") as err:
+            run_plan(plan, workers=workers, store=store)
+        message = str(err.value)
+        assert str(store.root) in message
+        assert "resume" not in message
+
+    def test_concurrent_drains_on_one_store_agree(self, tmp_path):
+        # Independent drains do not coordinate: both may compute a unit,
+        # but the store ends complete and each drain accounts for every
+        # unit.
+        import threading
+
+        store = StageCache(tmp_path)
+        specs = self._tiny_specs()
+        stats = []
+        runs = [threading.Thread(target=lambda: stats.append(run_plan(
+                    timed_plan(specs, nonce="both"), workers=1,
+                    store=store)))
+                for _ in range(2)]
+        for t in runs:
+            t.start()
+        for t in runs:
+            t.join()
+        plan = timed_plan(specs, nonce="both")
+        assert all(store.contains(u.key) for u in plan.units)
+        assert [s.computed + s.hits for s in stats] == [len(plan.units)] * 2
+
+
+class _DroppingStore(StageCache):
+    """A stage store whose every write is lost."""
+
+    def store(self, key, obj):
+        pass
 
 
 # ----------------------------------------------------------------------
-# Heartbeat thread lifecycle
-# ----------------------------------------------------------------------
-def _live_heartbeat_threads() -> list[str]:
-    import threading
-
-    from repro.experiments.shard import _Heartbeat
-
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith(_Heartbeat.THREAD_PREFIX)]
-
-
-class TestHeartbeatLifecycle:
-    def test_drain_leaves_no_heartbeat_threads(self, tmp_path):
-        # Regression: heartbeats used to run as fire-and-forget daemon
-        # threads that outlived their unit; a long-lived process (the
-        # service orchestrator) would accumulate one per drained unit.
-        store = StageCache(tmp_path)
-        plan = timed_plan([TimedStage(f"c{i}", s, 0.001)
-                           for i in range(3) for s in STAGES],
-                          nonce="hb-drain")
-        board = ClaimBoard.for_store(store, ttl=0.2, worker="hb")
-        stats = drain_units(plan, store, board, poll=0.01)
-        assert stats.computed == len(plan.units)
-        assert _live_heartbeat_threads() == []
-
-    def test_cancel_stops_and_joins(self, tmp_path):
-        board = ClaimBoard(tmp_path / "claims", ttl=0.2, worker="a")
-        board.try_claim("k1")
-        beat = board.heartbeat("k1")
-        assert beat.alive
-        assert _live_heartbeat_threads()
-        beat.cancel()
-        beat.cancel()  # idempotent
-        assert not beat.alive
-        assert _live_heartbeat_threads() == []
-
-    def test_context_manager_cancels_on_error(self, tmp_path):
-        board = ClaimBoard(tmp_path / "claims", ttl=0.2, worker="a")
-        board.try_claim("k1")
-        with pytest.raises(RuntimeError):
-            with board.heartbeat("k1") as beat:
-                assert beat.alive
-                raise RuntimeError("unit failed")
-        assert not beat.alive
-
-    def test_released_claim_retires_the_thread(self, tmp_path):
-        # A heartbeat whose claim vanished (released, or stolen after a
-        # stall) must terminate on its own instead of spinning forever.
-        board = ClaimBoard(tmp_path / "claims", ttl=0.2, worker="a")
-        board.try_claim("k1")
-        beat = board.heartbeat("k1")
-        board.release("k1")
-        deadline = time.time() + 2.0
-        while beat.alive and time.time() < deadline:
-            time.sleep(0.02)
-        assert not beat.alive
-
-
-# ----------------------------------------------------------------------
-# Fork driver: crash recovery
+# Fork dispatcher: crash recovery
 # ----------------------------------------------------------------------
 @pytest.mark.skipif("fork" not in __import__("multiprocessing")
                     .get_all_start_methods(),
@@ -289,17 +193,32 @@ class TestCrashRecovery:
             return {"circuit": unit.circuit, "stage": unit.stage}
 
         plan = ShardPlan(base.units, execute)
-        stats = run_plan(plan, workers=2, store=store, ttl=0.3)
+        t0 = time.perf_counter()
+        stats = run_plan(plan, workers=2, store=store)
         assert flag.exists()  # one worker really died
-        assert stats.worker_failures == 1
-        # The orphaned claim was reclaimed exactly once and the suite
-        # still completed.
-        assert stats.reclaimed == 1
+        # The plan still completed, without waiting out any claim TTL.
         assert all(store.contains(u.key) for u in plan.units)
-        # The dead worker's stats are lost with it; the survivor accounts
-        # for every unit either by computing it or by observing the dead
-        # worker's stored artifacts as hits.
         assert stats.computed + stats.hits == len(plan.units)
+        assert time.perf_counter() - t0 < 10.0
+
+    def test_unit_that_keeps_killing_workers_stops_the_drain(self,
+                                                            tmp_path):
+        store = StageCache(tmp_path / "store")
+        base = timed_plan([TimedStage("c0", s, 0.01) for s in STAGES],
+                          nonce="killer")
+        victim = base.units[2].key
+
+        def execute(unit, _timer):
+            if unit.key == victim:
+                os._exit(42)
+            return {"circuit": unit.circuit, "stage": unit.stage}
+
+        plan = ShardPlan(base.units, execute)
+        with pytest.raises(RuntimeError, match="resume") as err:
+            run_plan(plan, workers=2, store=store)
+        assert "c0/atpg" in str(err.value)
+        # Upstream units finished before the killer ran stay stored.
+        assert all(store.contains(u.key) for u in plan.units[:2])
 
     def test_all_workers_dead_raises_with_resume_hint(self, tmp_path):
         store = StageCache(tmp_path / "store")
@@ -311,7 +230,7 @@ class TestCrashRecovery:
 
         plan = ShardPlan(base.units, execute)
         with pytest.raises(RuntimeError, match="resume"):
-            run_plan(plan, workers=2, store=store, ttl=0.2)
+            run_plan(plan, workers=2, store=store)
 
 
 # ----------------------------------------------------------------------

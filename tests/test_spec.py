@@ -184,6 +184,24 @@ class TestValidation:
         with pytest.raises(SpecError, match="non-empty 'circuit'"):
             FlowJob(circuit="")
 
+    @pytest.mark.parametrize("kind", ["flow", "fleet", "resched"])
+    @pytest.mark.parametrize("circuit", [["s27"], 27, None])
+    def test_non_string_circuit_rejected(self, kind, circuit):
+        with pytest.raises(SpecError, match="'circuit' string"):
+            job_from_dict({"kind": kind, "circuit": circuit})
+
+    def test_string_suite_names_rejected(self):
+        # A bare string must not be split into one-character names.
+        with pytest.raises(SpecError, match="got the string 's27'"):
+            job_from_dict({"kind": "suite", "names": "s27"})
+        with pytest.raises(SpecError, match="got the string"):
+            SuiteJob(names="s27")
+
+    @pytest.mark.parametrize("names", [["s27", 7], [["s27"]], ["s27", ""]])
+    def test_non_string_suite_names_rejected(self, names):
+        with pytest.raises(SpecError, match="non-empty strings"):
+            job_from_dict({"kind": "suite", "names": names})
+
     def test_bad_engine_lists_registered(self):
         with pytest.raises(SpecError, match="registered: cold, incremental"):
             ReschedJob(circuit="s27", engine="quantum")
