@@ -463,12 +463,11 @@ class Podem:
         # trying the others: a frontier gate may have no free side input
         # (its faulty output is X through a partially-specified D chain)
         # while another is still sensitizable.
-        for gate_idx in sorted(frontier,
-                               key=lambda i: -self.circuit.level(i)):
-            g = self.circuit.gates[gate_idx]
-            ctrl = controlling_value(g.kind)
+        lvl = self._lvl
+        for gate_idx in sorted(frontier, key=lambda i: -lvl[i]):
+            ctrl = controlling_value(self._gk[gate_idx])
             noncontrolling = 1 - ctrl if ctrl is not None else 1
-            for pin, src in enumerate(g.fanin):
+            for src in self._gf[gate_idx]:
                 if good[src] == X:
                     return (src, noncontrolling)
         return None
@@ -495,19 +494,15 @@ class Podem:
                        faulty: list[int]) -> bool:
         """Check some frontier gate reaches an observation point through
         X-valued gates (necessary condition for future propagation)."""
+        obs, gfo = self._obs_set, self._gfo
         seen: set[int] = set()
         stack = list(frontier)
         while stack:
             u = stack.pop()
-            if u in self._obs_set:
+            if u in obs:
                 return True
-            for v, _pin in self.circuit.fanouts(u):
-                if v in seen:
-                    continue
-                vg = self.circuit.gates[v]
-                if not GateKind.is_combinational(vg.kind):
-                    continue
-                if good[v] == X or faulty[v] == X:
+            for v in gfo[u]:  # combinational fanouts only
+                if v not in seen and (good[v] == X or faulty[v] == X):
                     seen.add(v)
                     stack.append(v)
         return False
@@ -522,25 +517,24 @@ class Podem:
         cubes may still succeed).
         """
         gate, value = objective
+        sources, gk, gf, lvl = self._source_set, self._gk, self._gf, self._lvl
         guard = 0
-        while gate not in self._source_set:
+        while gate not in sources:
             guard += 1
-            if guard > len(self.circuit.gates) + 1:
+            if guard > len(gk) + 1:
                 return None  # defensive: should not happen on a DAG
-            g = self.circuit.gates[gate]
-            if g.kind in _INVERTING:
+            if gk[gate] in _INVERTING:
                 value = 1 - value
-            x_pins = [s for s in g.fanin if good[s] == X]
+            x_pins = [s for s in gf[gate] if good[s] == X]
             if not x_pins:
                 # The objective is already implied; restart from any X source
                 # in the fanin cone to make progress.
                 cone = self.circuit.fanin_cone(gate)
-                free = [s for s in cone
-                        if s in self._source_set and good[s] == X]
+                free = [s for s in cone if s in sources and good[s] == X]
                 if not free:
                     return None
                 return (min(free), value)
-            gate = min(x_pins, key=lambda s: self.circuit.level(s))
+            gate = min(x_pins, key=lvl.__getitem__)
         return (gate, value)
 
     def _backtrack(self, assignment: dict[int, int],

@@ -10,7 +10,11 @@ over 99.9 %").  Three phases:
 2. **Deterministic phase** — for each remaining fault, PODEM generates the
    capture vector (the transition fault's stuck-at image) and a
    justification pass produces the launch vector establishing the initial
-   value at the site.
+   value at the site.  A PODEM untestability proof settles the image's
+   whole structural stuck-at class and every class it dominates
+   (:func:`repro.faults.universe.stuck_at_classes`): later faults of those
+   classes are untestable without a PODEM call, and earlier aborts of
+   them are re-labelled untestable at the end.
 3. **Compaction** — reverse-order fault dropping removes patterns made
    redundant by later ones (see :mod:`repro.atpg.compaction`).
 
@@ -20,13 +24,13 @@ initial value and ``v2`` detects the corresponding stuck-at fault.
 
 Engines: fault grading runs on the word-matrix engine of
 :class:`BitParallelSimulator` by default (``engine="matrix"``: vectorized
-levelized evaluation, activation pre-screening, cone-sharing fault
-batches, and a deterministic phase that packs each new pattern exactly
-once and drops faults incrementally).  The seed pipeline is retained
-verbatim as ``engine="reference"`` — both produce bit-identical per-fault
-detect masks and identical compacted test sets (guarded by
-``tests/test_transition_golden.py``), and the reference is the before-side
-of the persistent ``BENCH_atpg.json`` baseline.
+levelized evaluation, activation pre-screening, levelized grading of all
+faults at once, and a deterministic phase that packs each new pattern
+exactly once and drops faults incrementally).  The seed grading pipeline is
+retained as ``engine="reference"`` — both produce bit-identical per-fault
+detect masks and identical compacted test sets and fault ledgers (guarded
+by ``tests/test_transition_golden.py``), and the reference is the
+before-side of the persistent ``BENCH_atpg.json`` baseline.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.atpg.compaction import reverse_order_drop
 from repro.atpg.patterns import PatternPair, TestSet
 from repro.atpg.podem import Podem
 from repro.faults.models import TransitionFault
-from repro.faults.universe import fault_sites
+from repro.faults.universe import StuckAtClasses, fault_sites, stuck_at_classes
 from repro.netlist.circuit import Circuit
 from repro.simulation.logic import X
 from repro.simulation.parallel_sim import (
@@ -85,6 +89,41 @@ class AtpgResult:
         }
 
 
+class _ClassVerdicts:
+    """Untestability proofs shared across structural stuck-at classes.
+
+    Only a PODEM *proof* is shared: equivalent faults have the same faulty
+    function and a dominated class's test set is a subset of its
+    dominator's, so the verdict carries over exactly.  Aborts and launch
+    justification failures are per fault and never shared.
+    """
+
+    def __init__(self, classes: StuckAtClasses) -> None:
+        self._class_of = classes.class_of
+        self._implies = classes.implies
+        self._proven: set[int] = set()
+
+    def proven(self, fault: TransitionFault) -> bool:
+        """Whether ``fault``'s stuck-at image is in a proven class."""
+        return self._class_of.get(fault.as_stuck_at()) in self._proven
+
+    def prove(self, fault: TransitionFault) -> None:
+        """Mark ``fault``'s class and every class it dominates untestable."""
+        c = self._class_of.get(fault.as_stuck_at())
+        stack = [] if c is None else [c]
+        while stack:
+            c = stack.pop()
+            if c not in self._proven:
+                self._proven.add(c)
+                stack.extend(self._implies.get(c, ()))
+
+    def settle(self, result: AtpgResult) -> None:
+        """Move aborted faults whose class was proven later to untestable."""
+        moved = {f for f in result.aborted if self.proven(f)}
+        result.aborted -= moved
+        result.untestable |= moved
+
+
 def transition_fault_list(circuit: Circuit) -> list[TransitionFault]:
     """Both-polarity transition faults at every gate pin."""
     out: list[TransitionFault] = []
@@ -120,7 +159,9 @@ def _transition_masks(circuit: Circuit, sim: BitParallelSimulator,
         det[to_grade] = sim.stuck_at_detect_words(
             good_capture, [faults[i].as_stuck_at() for i in to_grade], width)
     act &= det
-    return {f: row_to_mask(act[i]) for i, f in enumerate(faults)}
+    if act.shape[1] == 1:  # one word per row: converts straight to ints
+        return dict(zip(faults, act[:, 0].tolist()))
+    return {f: row_to_mask(row) for f, row in zip(faults, act)}
 
 
 def _detect_masks_matrix(circuit: Circuit, sim: BitParallelSimulator,
@@ -238,15 +279,16 @@ def generate_transition_tests(
     # ------------------------------------------------------------------
     t0 = time.perf_counter() if timer is not None else 0.0
     stale = 0
+    order = sorted(undetected)  # invariant: sorted, same members
     for _ in range(max_random_batches):
-        if not undetected or stale >= stale_batches:
+        if not order or stale >= stale_batches:
             break
         batch = TestSet(circuit, (
             PatternPair(
                 tuple(rng.randint(0, 1) for _ in range(width)),
                 tuple(rng.randint(0, 1) for _ in range(width)))
             for _ in range(random_batch)))
-        masks = detect_masks(circuit, sim, batch, sorted(undetected),
+        masks = detect_masks(circuit, sim, batch, order,
                              seed=seed, engine=engine)
         useful_bits = 0
         newly: set[TransitionFault] = set()
@@ -263,6 +305,7 @@ def generate_transition_tests(
                 test_set.append(batch[p])
         detected |= newly
         undetected -= newly
+        order = [f for f in order if f not in newly]
     if timer is not None:
         timer.add("random", time.perf_counter() - t0)
 
@@ -273,12 +316,14 @@ def generate_transition_tests(
                         detected=detected)
     podem = Podem(circuit, max_backtracks=max_backtracks, seed=seed)
     sources = circuit.sources()
+    verdicts = _ClassVerdicts(stuck_at_classes(circuit))
     if engine == "reference":
-        _phase2_reference(circuit, sim, podem, sources, rng, undetected,
-                          result, seed=seed)
+        _phase2_reference(circuit, sim, podem, verdicts, sources, rng,
+                          undetected, result, seed=seed)
     else:
-        _phase2_incremental(circuit, sim, podem, sources, rng, undetected,
-                            result, timer=timer)
+        _phase2_incremental(circuit, sim, podem, verdicts, sources, rng,
+                            undetected, result, timer=timer)
+    verdicts.settle(result)
 
     # ------------------------------------------------------------------
     # Phase 3: static compaction (reverse-order fault dropping)
@@ -298,8 +343,8 @@ def generate_transition_tests(
 
 
 def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
-                        podem: Podem, sources: list[int],
-                        rng: random.Random,
+                        podem: Podem, verdicts: _ClassVerdicts,
+                        sources: list[int], rng: random.Random,
                         undetected: set[TransitionFault],
                         result: AtpgResult, *,
                         timer: StageTimer | None) -> None:
@@ -307,10 +352,11 @@ def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
 
     The fault list is sorted once; each new pattern is packed exactly once
     and graded against the still-undetected faults through the activation
-    pre-screen and cone-sharing batches.  Drops are applied incrementally
-    to the ``alive`` list instead of re-sorting ``remaining`` per pattern
-    — the seed's O(|F|²·log|F|) resort/regrade loop becomes O(|F|·|P_det|)
-    list filtering plus the (pre-screened) grading itself.
+    pre-screen and the levelized grading sweep.  Drops are applied
+    incrementally to the ``alive`` list instead of re-sorting ``remaining``
+    per pattern — the seed's O(|F|²·log|F|) resort/regrade loop becomes
+    O(|F|·|P_det|) list filtering plus the (pre-screened) grading itself.
+    Faults of a class already proven untestable skip PODEM.
     """
     test_set = result.test_set
     worklist = sorted(undetected)
@@ -319,11 +365,19 @@ def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
     for f in worklist:
         if f not in remaining:
             continue  # dropped by an earlier deterministic pattern
+        if verdicts.proven(f):
+            result.untestable.add(f)
+            remaining.discard(f)
+            alive.remove(f)
+            continue
         t0 = time.perf_counter() if timer is not None else 0.0
         capture_assign = podem.generate(f.as_stuck_at())
         if capture_assign is None:
-            (result.aborted if podem.stats.aborted
-             else result.untestable).add(f)
+            if podem.stats.aborted:
+                result.aborted.add(f)
+            else:
+                result.untestable.add(f)
+                verdicts.prove(f)
             remaining.discard(f)
             alive.remove(f)
             if timer is not None:
@@ -365,21 +419,30 @@ def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
 
 
 def _phase2_reference(circuit: Circuit, sim: BitParallelSimulator,
-                      podem: Podem, sources: list[int], rng: random.Random,
+                      podem: Podem, verdicts: _ClassVerdicts,
+                      sources: list[int], rng: random.Random,
                       undetected: set[TransitionFault],
                       result: AtpgResult, *, seed: int) -> None:
-    """The seed deterministic phase, retained verbatim: every pattern
-    re-sorts and re-grades ``remaining`` through the big-int engine."""
+    """The seed deterministic phase: every pattern re-sorts and re-grades
+    ``remaining`` through the big-int engine.  Class verdicts are shared
+    exactly as in :func:`_phase2_incremental`, so both ledgers agree."""
     test_set = result.test_set
     worklist = sorted(undetected)
     remaining = set(undetected)
     for f in worklist:
         if f not in remaining:
             continue  # dropped by an earlier deterministic pattern
+        if verdicts.proven(f):
+            result.untestable.add(f)
+            remaining.discard(f)
+            continue
         capture_assign = podem.generate(f.as_stuck_at())
         if capture_assign is None:
-            (result.aborted if podem.stats.aborted
-             else result.untestable).add(f)
+            if podem.stats.aborted:
+                result.aborted.add(f)
+            else:
+                result.untestable.add(f)
+                verdicts.prove(f)
             remaining.discard(f)
             continue
         launch_assign = podem.justify(f.site.signal_gate(circuit),

@@ -237,6 +237,9 @@ class AtpgStage(Stage):
     deps = ()
     artifact_type = PatternsArtifact
     config_fields = ("atpg_seed", "pattern_cap")
+    # v2: untestability proofs are shared across stuck-at fault classes, so
+    # stored AtpgResult ledgers move some faults from aborted to untestable.
+    CACHE_VERSION = 2
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> PatternsArtifact:

@@ -4,7 +4,8 @@ Packs one test pattern per bit, so a single topological sweep evaluates
 *all* patterns of a test set at once.  Used by the ATPG for random-pattern
 fault grading, fault dropping and static compaction — the classic
 single-fault-propagation scheme: the fault-free words are computed once,
-then each fault forces its site and re-evaluates only its fanout cone.
+then each fault forces its site and the faulty machine is re-evaluated
+downstream of it.
 
 Two engines share one :class:`BitParallelSimulator` instance:
 
@@ -18,13 +19,15 @@ Two engines share one :class:`BitParallelSimulator` instance:
   per-kind batches* — one vectorized numpy reduction per (level, kind,
   arity) group instead of one Python call per gate
   (:meth:`pack_vectors_words`, :meth:`simulate_words`).  Single-fault
-  propagation grades faults in *cone-sharing batches*
-  (:meth:`stuck_at_detect_words`): a batch of faults is carried as extra
-  matrix columns, their memoized cone schedules
-  (:meth:`Circuit.cone_schedule`) are merged, and one sweep over the merged
-  schedule re-evaluates every column at once.  Evaluating a gate outside a
+  propagation grades faults in one *levelized sweep*
+  (:meth:`stuck_at_detect_words`): every active fault is one column of a
+  ``(gates, B, W)`` faulty matrix, the same (level, kind, arity) batches
+  evaluate all columns at once, and each level's site rows are re-forced
+  before the next level reads them.  Evaluating a gate outside a
   particular fault's cone is harmless — its fanin equal the fault-free
-  words, so the result does too — which is what makes the sharing sound.
+  words, so the result does too — which is what makes the shared sweep
+  exact.  The column count ``B`` of a chunk follows from the fixed byte
+  budget :data:`GRADE_BUFFER_BYTES`.
 
 Both engines produce bit-identical detect masks (guarded by
 ``tests/test_parallel_sim_matrix.py`` and the ATPG golden tests).
@@ -43,6 +46,11 @@ from repro.netlist.circuit import Circuit, GateKind
 WORD_BITS = 64
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Byte budget of one grading chunk's ``(gates, B, W)`` faulty matrix;
+#: :meth:`BitParallelSimulator.stuck_at_detect_words` sizes its column
+#: count ``B`` from it (at least one column per chunk).
+GRADE_BUFFER_BYTES = 8 << 20
 
 #: Gate kind → (numpy reduction ufunc or None for unary, invert output).
 _KIND_KERNELS = {
@@ -114,7 +122,11 @@ class BitParallelSimulator:
                                   for op in circuit.observation_points()})
         # Matrix-engine structures, built lazily on first use.
         self._level_batches: list[tuple] | None = None
-        self._gate_kernels: list[tuple | None] | None = None
+        self._level_bounds: list[int] = []
+        self._levels_np: np.ndarray | None = None
+        self._kernel_of: np.ndarray | None = None
+        self._fanin_pad: np.ndarray | None = None
+        self._kernels: list[tuple] = []
         self._sources_np: np.ndarray | None = None
         self._const1_np: np.ndarray | None = None
         self._obs_np: np.ndarray | None = None
@@ -241,6 +253,8 @@ class BitParallelSimulator:
         Every fanin of a gate at level L sits at a level < L, so gates of
         one level are mutually independent and any batch order inside a
         level is sound.  One numpy reduction then evaluates a whole batch.
+        Batches are sorted by level; ``_level_bounds[L]`` is the first
+        batch of level ``L`` or above.
         """
         circuit = self.circuit
         groups: dict[tuple[int, str, int], list[int]] = {}
@@ -249,19 +263,34 @@ class BitParallelSimulator:
             groups.setdefault((circuit.level(idx), g.kind, g.arity),
                               []).append(idx)
         batches = []
-        for (_lvl, kind, _arity), idxs in sorted(groups.items()):
+        batch_levels = []
+        for (lvl, kind, _arity), idxs in sorted(groups.items()):
             op, invert = _KIND_KERNELS[kind]
             out_idx = np.asarray(idxs, dtype=np.intp)
             fanin = np.asarray([circuit.gates[i].fanin for i in idxs],
                                dtype=np.intp)
             batches.append((op, invert, out_idx, fanin))
-        kernels: list[tuple | None] = [None] * len(circuit.gates)
+            batch_levels.append(lvl)
+        n = len(circuit.gates)
+        self._level_batches = batches
+        self._level_bounds = np.searchsorted(
+            batch_levels, np.arange(circuit.depth + 2)).tolist()
+        self._levels_np = np.asarray([circuit.level(i) for i in range(n)],
+                                     dtype=np.intp)
+        # Per-gate (kind, arity) kernel id and zero-padded fanin rows, for
+        # the vectorized site-row computation of input-pin faults.
+        kernel_ids: dict[tuple[str, int], int] = {}
+        self._kernel_of = np.full(n, -1, dtype=np.intp)
+        self._fanin_pad = np.zeros(
+            (n, max((circuit.gates[i].arity for i in self._order),
+                    default=1)), dtype=np.intp)
         for idx in self._order:
             g = circuit.gates[idx]
-            op, invert = _KIND_KERNELS[g.kind]
-            kernels[idx] = (op, invert, np.asarray(g.fanin, dtype=np.intp))
-        self._level_batches = batches
-        self._gate_kernels = kernels
+            self._kernel_of[idx] = kernel_ids.setdefault(
+                (g.kind, g.arity), len(kernel_ids))
+            self._fanin_pad[idx, :g.arity] = g.fanin
+        self._kernels = [(*_KIND_KERNELS[kind], arity)
+                         for kind, arity in kernel_ids]
         self._sources_np = np.asarray(self.circuit.sources(), dtype=np.intp)
         self._const1_np = np.asarray(
             [g.index for g in circuit.gates if g.kind == GateKind.CONST1],
@@ -319,98 +348,99 @@ class BitParallelSimulator:
             matrix[out_idx] = vals
         return matrix
 
-    def _forced_site_row(self, good: np.ndarray, fault: StuckAtFault,
-                         mrow: np.ndarray) -> np.ndarray:
-        """Faulty ``(W,)`` word at the fault's site gate output."""
-        site = fault.site
-        forced = mrow if fault.value else np.zeros_like(mrow)
-        if site.is_output_pin:
-            return forced
-        g = self.circuit.gates[site.gate]
-        ins = [good[s] for s in g.fanin]
-        ins[site.pin] = forced
-        op, invert = _KIND_KERNELS[g.kind]
-        row = ins[0].copy() if op is None else op.reduce(np.stack(ins), axis=0)
-        return (row ^ mrow) if invert else row
+    def _site_rows(self, good: np.ndarray, faults: Sequence[StuckAtFault],
+                   gate: np.ndarray, mrow: np.ndarray) -> np.ndarray:
+        """Faulty ``(len(faults), W)`` words at each fault's site gate
+        (``gate[i]`` is fault ``i``'s site gate).
 
-    def _grade_batch(self, good: np.ndarray,
-                     faults: Sequence[StuckAtFault], width: int,
-                     out: np.ndarray, out_rows: Sequence[int]) -> None:
-        """Single-fault propagation of one cone-sharing batch.
-
-        Every fault of the batch occupies one column of a ``(gates, B, W)``
-        faulty matrix initialized to the fault-free words; the merged cone
-        schedule is swept once, evaluating all columns per gate.  A column
-        whose fault's cone does not contain the gate re-evaluates to the
-        fault-free word, so over-evaluation cannot corrupt it; site gates
-        are re-forced after evaluation in case they sit inside another
-        batch member's cone.
+        Output-pin faults force the stuck value; input-pin faults
+        re-evaluate the site gate with the pin forced, one vectorized
+        reduction per (kind, arity) kernel.
         """
-        circuit = self.circuit
-        mrow = mask_row(width)
-        site_rows = []
-        active: list[int] = []
-        for b, f in enumerate(faults):
-            row = self._forced_site_row(good, f, mrow)
-            if bool(np.any(row != good[f.site.gate])):
-                active.append(b)
-                site_rows.append(row)
-            # else: the forced value never changes the site signal — the
-            # detect row stays zero (pre-filled by the caller).
-        if not active:
-            return
-        b_n = len(active)
+        n = len(faults)
+        pin = np.fromiter((f.site.pin for f in faults), dtype=np.intp,
+                          count=n)
+        stuck = np.fromiter((f.value for f in faults), dtype=bool, count=n)
+        forced = np.where(stuck[:, None], mrow, np.uint64(0))
+        rows = forced.copy()
+        inputs = np.flatnonzero(pin >= 0)
+        kernel = self._kernel_of[gate[inputs]]
+        for k in np.unique(kernel):
+            sel = inputs[kernel == k]
+            op, invert, arity = self._kernels[k]
+            ins = good[self._fanin_pad[gate[sel], :arity]]  # (m, arity, W)
+            ins[np.arange(sel.size), pin[sel]] = forced[sel]
+            vals = ins[:, 0] if op is None else op.reduce(ins, axis=1)
+            rows[sel] = (vals ^ mrow) if invert else vals
+        return rows
+
+    def _sweep(self, good: np.ndarray, sites: np.ndarray, rows: np.ndarray,
+               mrow: np.ndarray) -> np.ndarray:
+        """Single-fault propagation of one column chunk, levelized.
+
+        Fault ``b`` occupies column ``b`` of a ``(gates, B, W)`` faulty
+        matrix initialized to the fault-free words, with its site row
+        forced.  ``sites`` must be sorted by level: every level above the
+        lowest site is evaluated with one numpy reduction per (level, kind,
+        arity) batch over all columns, and the site rows of that level are
+        re-forced before the next level reads them.  A column whose fault
+        cannot reach a gate re-evaluates to the fault-free word, so
+        evaluating it there is harmless.  Returns the ``(B, W)`` detect
+        words: the OR over observation rows of faulty XOR fault-free.
+        """
+        b_n = sites.size
+        col = np.arange(b_n)
         faulty = np.repeat(good[:, None, :], b_n, axis=1)
-        forced_at: dict[int, list[tuple[int, np.ndarray]]] = {}
-        cone_union: set[int] = set()
-        for col, b in enumerate(active):
-            site_gate = faults[b].site.gate
-            faulty[site_gate, col] = site_rows[col]
-            forced_at.setdefault(site_gate, []).append((col, site_rows[col]))
-            cone_union.update(circuit.cone_schedule(site_gate))
-        pos = circuit.topo_positions
-        kernels = self._gate_kernels
-        for idx in sorted(cone_union, key=pos.__getitem__):
-            op, invert, fanin = kernels[idx]
-            if op is None:
-                vals = faulty[fanin[0]].copy()
-            else:
-                vals = op.reduce(faulty[fanin], axis=0)
-            if invert:
-                vals ^= mrow
-            refor = forced_at.get(idx)
-            if refor is not None:
-                for col, row in refor:
-                    vals[col] = row
-            faulty[idx] = vals
+        faulty[sites, col] = rows
+        site_levels = self._levels_np[sites]
+        depth = self.circuit.depth
+        cut = np.searchsorted(site_levels, np.arange(depth + 2)).tolist()
+        bounds = self._level_bounds
+        batches = self._level_batches
+        for level in range(int(site_levels[0]) + 1, depth + 1):
+            for op, invert, out_idx, fanin in \
+                    batches[bounds[level]:bounds[level + 1]]:
+                if op is None:
+                    vals = faulty[fanin[:, 0]]
+                else:
+                    vals = op.reduce(faulty[fanin], axis=1)
+                if invert:
+                    vals ^= mrow
+                faulty[out_idx] = vals
+            lo, hi = cut[level], cut[level + 1]
+            if hi > lo:
+                faulty[sites[lo:hi], col[lo:hi]] = rows[lo:hi]
         obs = self._obs_np
-        if obs.size:
-            diff = faulty[obs] ^ good[obs][:, None, :]
-            det = np.bitwise_or.reduce(diff, axis=0)
-            for col, b in enumerate(active):
-                out[out_rows[b]] = det[col]
+        return np.bitwise_or.reduce(faulty[obs] ^ good[obs][:, None, :],
+                                    axis=0)
 
     def stuck_at_detect_words(self, good: np.ndarray,
-                              faults: Sequence[StuckAtFault], width: int,
-                              *, batch: int = 64) -> np.ndarray:
-        """Per-fault ``(len(faults), W)`` detect words, batched grading.
+                              faults: Sequence[StuckAtFault],
+                              width: int) -> np.ndarray:
+        """Per-fault ``(len(faults), W)`` detect words, levelized grading.
 
         ``good`` is the fault-free matrix from :meth:`simulate_words`.
-        Faults are sorted by the topological position of their site so each
-        batch shares (and each merged schedule stays close to) one fanout
-        region; rows of the result stay in input order and are bit-
-        identical to :meth:`stuck_at_detect_mask`.
+        Faults whose forced value changes their site gate's output are
+        graded in column chunks of :data:`GRADE_BUFFER_BYTES` (sorted by
+        site level, so a chunk's sweep starts as high as it can); rows of
+        the result stay in input order and are bit-identical to
+        :meth:`stuck_at_detect_mask`.
         """
         if self._level_batches is None:
             self._build_matrix_plan()
-        out = np.zeros((len(faults), good.shape[1]), dtype=np.uint64)
-        if not len(faults) or width == 0:
+        n_gates, w = good.shape
+        out = np.zeros((len(faults), w), dtype=np.uint64)
+        if not len(faults) or width == 0 or not self._obs_np.size:
             return out
-        pos = self.circuit.topo_positions
-        order = sorted(range(len(faults)),
-                       key=lambda i: (pos[faults[i].site.gate], i))
-        for lo in range(0, len(order), batch):
-            chunk = order[lo:lo + batch]
-            self._grade_batch(good, [faults[i] for i in chunk], width,
-                              out, chunk)
+        mrow = mask_row(width)
+        sites = np.fromiter((f.site.gate for f in faults), dtype=np.intp,
+                            count=len(faults))
+        rows = self._site_rows(good, faults, sites, mrow)
+        active = np.flatnonzero((rows != good[sites]).any(axis=1))
+        active = active[np.argsort(self._levels_np[sites[active]],
+                                   kind="stable")]
+        cols = max(1, GRADE_BUFFER_BYTES // (n_gates * w * 8))
+        for lo in range(0, active.size, cols):
+            chunk = active[lo:lo + cols]
+            out[chunk] = self._sweep(good, sites[chunk], rows[chunk], mrow)
         return out

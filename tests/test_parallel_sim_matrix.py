@@ -13,6 +13,8 @@ import pytest
 
 from repro.atpg.patterns import random_test_set
 from repro.atpg.transition import transition_fault_list
+from repro.faults.models import OUTPUT_PIN, FaultSite, StuckAtFault
+from repro.simulation import parallel_sim
 from repro.simulation.parallel_sim import (
     BitParallelSimulator,
     mask_row,
@@ -64,13 +66,46 @@ class TestMatrixVsBigInt:
             assert row_to_mask(det[i]) == \
                 sim.stuck_at_detect_mask(good, f, width), f
 
-    def test_batch_size_does_not_change_results(self, small_generated):
+    def test_batch_size_does_not_change_results(self, small_generated,
+                                                monkeypatch):
         sim, vectors, saf = _workload(small_generated, 11, seed=9)
         matrix, width = sim.pack_vectors_words(vectors)
         good_m = sim.simulate_words(matrix, width)
         full = sim.stuck_at_detect_words(good_m, saf, width)
-        tiny = sim.stuck_at_detect_words(good_m, saf, width, batch=2)
-        assert np.array_equal(full, tiny)
+        column_bytes = good_m.shape[0] * good_m.shape[1] * 8
+        for cols in (1, 2):  # one and two fault columns per chunk
+            monkeypatch.setattr(parallel_sim, "GRADE_BUFFER_BYTES",
+                                cols * column_bytes)
+            tiny = sim.stuck_at_detect_words(good_m, saf, width)
+            assert np.array_equal(full, tiny), cols
+
+    @pytest.mark.parametrize("cols", [1, 2, 64])
+    def test_sites_on_several_levels_inside_a_cone(self, small_generated,
+                                                   monkeypatch, cols):
+        """Sites on different levels, one inside another's fanout cone:
+        the inner site is re-forced after its level in the shared chunk."""
+        circuit = small_generated
+        sim, vectors, _ = _workload(circuit, 70, seed=5)
+        outer = max(circuit.combinational_gates(),
+                    key=lambda g: len(circuit.fanout_cone(g)))
+        inner = max(circuit.fanout_cone(outer), key=circuit.level)
+        mid = min(circuit.fanout_cone(outer), key=circuit.level)
+        assert circuit.level(outer) < circuit.level(mid) \
+            < circuit.level(inner)
+        saf = [StuckAtFault(FaultSite(g, pin), v)
+               for g in (inner, outer, mid)
+               for pin in (OUTPUT_PIN, 0) for v in (0, 1)]
+        words, width = sim.pack_vectors(vectors)
+        good = sim.simulate(words, width)
+        matrix, _ = sim.pack_vectors_words(vectors)
+        good_m = sim.simulate_words(matrix, width)
+        monkeypatch.setattr(parallel_sim, "GRADE_BUFFER_BYTES",
+                            cols * good_m.shape[0] * good_m.shape[1] * 8)
+        det = sim.stuck_at_detect_words(good_m, saf, width)
+        for i, f in enumerate(saf):
+            assert row_to_mask(det[i]) == \
+                sim.stuck_at_detect_mask(good, f, width), f
+        assert any(row_to_mask(row) for row in det)  # not vacuous
 
     def test_empty_fault_list(self, s27):
         sim, vectors, _ = _workload(s27, 4)
